@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -33,9 +34,9 @@ const drainGrace = 2 * time.Second
 // the store, serve leases until every trial is done, then emit the same
 // summaries (and greppable grid line) a single-process sweep would. When no
 // worker leases anything within localGrace, the process degrades to local
-// mode — it drains the sweep itself through the coordinator's in-process
-// Source, so a -serve invocation with no fleet still finishes (late workers
-// can still join; both sides lease from the same pool).
+// mode — it also drains the sweep itself, as an in-process fleet worker
+// connected to its own listener, so a -serve invocation with no fleet still
+// finishes (late workers can still join; all lease from the same pool).
 func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline, localGrace time.Duration,
 	retries int, backoff time.Duration, format, outPath string, progress bool) int {
 	if storePath == "" {
@@ -79,10 +80,11 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 	defer stop()
 	if localGrace > 0 {
 		// Degraded-local mode: if the grace window passes with zero leases
-		// granted, no worker is coming — drain the sweep in-process through
-		// the same Source/Drain path a worker uses. Leases granted to late
-		// workers and local leases come from one pool, so a worker joining
-		// mid-drain just shares the remaining trials.
+		// granted, no worker is coming — serve and also drain. The local
+		// worker talks to this process's own listener over loopback, so it
+		// takes the same lease/renew/complete/journal path a remote worker
+		// does, and a worker joining mid-drain just shares the remaining
+		// trials.
 		go func() {
 			t := time.NewTimer(localGrace)
 			defer t.Stop()
@@ -97,8 +99,22 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 				return
 			}
 			fmt.Fprintf(os.Stderr, "fleet: no worker leased within %v; draining locally\n", localGrace)
-			local := &grid.Runner{Retries: retries, Backoff: backoff}
-			if err := local.Drain(ctx, coord.LocalSource("local")); err != nil && ctx.Err() == nil {
+			host := "127.0.0.1"
+			tcp := ln.Addr().(*net.TCPAddr)
+			if !tcp.IP.IsUnspecified() {
+				host = tcp.IP.String()
+			}
+			local := &fleet.Worker{
+				Client: &fleet.Client{
+					Base:    "http://" + net.JoinHostPort(host, strconv.Itoa(tcp.Port)),
+					Retries: -1, RetryBase: backoff, Seed: seedFor("local"),
+				},
+				Runner:   &grid.Runner{Retries: retries, Backoff: backoff},
+				Name:     "local",
+				Capacity: -1,
+				Logf:     cc.Logf,
+			}
+			if _, err := local.Run(ctx); err != nil && ctx.Err() == nil {
 				fmt.Fprintf(os.Stderr, "fleet: local drain: %v\n", err)
 			}
 		}()
@@ -148,7 +164,7 @@ func runServe(addr string, spec grid.Spec, storePath string, leaseTTL, deadline,
 // cancel cleanly: the current trial's lease simply expires and is re-issued
 // elsewhere. SIGKILL needs no handling — that is the lease's whole job.
 func runWorker(base string, retries int, backoff time.Duration, name, spoolFlag string,
-	capacity, leaseBatch int, progress bool) int {
+	capacity int, progress bool) int {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -166,11 +182,10 @@ func runWorker(base string, retries int, backoff time.Duration, name, spoolFlag 
 			Base: base, Timeout: 10 * time.Second, Retries: -1,
 			RetryBase: backoff, Seed: seedFor(name),
 		},
-		Runner:     &grid.Runner{Retries: retries, Backoff: backoff},
-		Name:       name,
-		SpoolPath:  spool,
-		Capacity:   capacity,
-		LeaseBatch: leaseBatch,
+		Runner:    &grid.Runner{Retries: retries, Backoff: backoff},
+		Name:      name,
+		SpoolPath: spool,
+		Capacity:  capacity,
 	}
 	if progress {
 		w.Logf = func(f string, args ...any) { fmt.Fprintf(os.Stderr, f+"\n", args...) }

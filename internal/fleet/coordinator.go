@@ -110,11 +110,6 @@ type workerStats struct {
 	lastDone  time.Time
 }
 
-// maxBatchGrants caps how many trials one lease RPC may carry regardless of
-// the request's MaxTrials — a runaway batch would concentrate re-issue risk
-// on one worker's crash.
-const maxBatchGrants = 8
-
 // NewCoordinator expands cfgs×trials with the runner's seed-chain convention
 // and builds the coordinator over the store. Trials already in the store
 // (including quarantines) are done before the first lease is granted — this
@@ -202,7 +197,7 @@ func (c *Coordinator) reclaimExpiredLocked() {
 
 // grantLocked journals the claim for task i and attaches a fresh lease to
 // worker; caller holds mu and guarantees the task is pending.
-func (c *Coordinator) grantLocked(i int, worker string) (Grant, error) {
+func (c *Coordinator) grantLocked(i int, worker string) (LeaseResponse, error) {
 	t := c.tasks[i]
 	c.seq++
 	id := fmt.Sprintf("L%d", c.seq)
@@ -210,7 +205,7 @@ func (c *Coordinator) grantLocked(i int, worker string) (Grant, error) {
 	// Journal the claim before answering: if the append fails the
 	// store is broken and granting would strand the trial's result.
 	if err := c.store.Append(results.NewClaim(t.key, worker, expires)); err != nil {
-		return Grant{}, fmt.Errorf("fleet: journaling claim: %w", err)
+		return LeaseResponse{}, fmt.Errorf("fleet: journaling claim: %w", err)
 	}
 	t.state = taskLeased
 	t.leaseID = id
@@ -218,7 +213,8 @@ func (c *Coordinator) grantLocked(i int, worker string) (Grant, error) {
 	c.granted++
 	c.logf("fleet: leased %s (%s) to %s until %s",
 		results.Label(t.cfg), short(t.key), worker, expires.Format(time.RFC3339))
-	return Grant{LeaseID: id, Key: t.key, Config: t.cfg, ExpiresUnixNano: expires.UnixNano()}, nil
+	return LeaseResponse{Status: StatusLease, LeaseID: id, Key: t.key, Config: t.cfg,
+		ExpiresUnixNano: expires.UnixNano()}, nil
 }
 
 // fits reports whether a trial's thread demand fits an advertised capacity
@@ -227,18 +223,15 @@ func fits(cfg bench.WorkloadConfig, capacity int) bool {
 	return capacity <= 0 || cfg.Threads <= capacity
 }
 
-// Lease grants pending trials to the requesting worker, journaling each
+// Lease grants one pending trial to the requesting worker, journaling the
 // claim. The grant policy is the distributed face of the grid runner's LPT
-// scheduler: the primary grant is the costliest pending trial that fits the
+// scheduler: the grant is the costliest pending trial that fits the
 // worker's advertised Capacity, so the biggest remaining work starts
 // earliest on the workers that can run it — the makespan argument. When
 // nothing fits the capacity, the cheapest pending trial is granted anyway
-// (capacity is advisory; a slow trial beats a stalled sweep). With
-// MaxTrials > 1 the response also batches up to maxBatchGrants of the
-// cheapest fitting trials as Extra, amortizing lease round-trips over
-// trials whose RPC cost rivals their runtime. When everything is
-// leased-but-unfinished it answers StatusWait; when the sweep is complete,
-// StatusDone.
+// (capacity is advisory; a slow trial beats a stalled sweep). When
+// everything is leased-but-unfinished it answers StatusWait; when the sweep
+// is complete, StatusDone.
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -275,51 +268,23 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	// Descending cost, ties in expansion order — deterministic given the
 	// same model state.
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].est > pending[j].est })
-	primary := -1
+	pick := -1
 	for i, p := range pending {
 		if fits(c.tasks[p.idx].cfg, req.Capacity) {
-			primary = i
+			pick = i
 			break
 		}
 	}
-	fallback := primary < 0
-	if fallback {
+	if pick < 0 {
 		// Nothing fits the advertised capacity: grant the cheapest pending
 		// trial (last in descending order) so an undersized worker makes
 		// slow progress instead of the sweep waiting for a big worker that
 		// may never come.
-		primary = len(pending) - 1
+		pick = len(pending) - 1
 		c.logf("fleet: no pending trial fits capacity %d from %s; granting cheapest",
 			req.Capacity, req.Worker)
 	}
-	resp := LeaseResponse{Status: StatusLease}
-	g, err := c.grantLocked(pending[primary].idx, req.Worker)
-	if err != nil {
-		return LeaseResponse{}, err
-	}
-	resp.LeaseID, resp.Key, resp.Config, resp.ExpiresUnixNano = g.LeaseID, g.Key, g.Config, g.ExpiresUnixNano
-	if req.MaxTrials > 1 && !fallback {
-		extra := req.MaxTrials - 1
-		if extra > maxBatchGrants {
-			extra = maxBatchGrants
-		}
-		// Fill the batch cheapest-first (from the tail of the descending
-		// order): batching exists to amortize round-trips over cheap
-		// trials, while expensive ones keep getting dedicated leases that
-		// renew independently.
-		for i := len(pending) - 1; i > primary && extra > 0; i-- {
-			if !fits(c.tasks[pending[i].idx].cfg, req.Capacity) {
-				continue
-			}
-			g, err := c.grantLocked(pending[i].idx, req.Worker)
-			if err != nil {
-				return LeaseResponse{}, err
-			}
-			resp.Extra = append(resp.Extra, g)
-			extra--
-		}
-	}
-	return resp, nil
+	return c.grantLocked(pending[pick].idx, req.Worker)
 }
 
 // Renew extends a held lease. A false OK means the lease already expired
@@ -344,12 +309,24 @@ func (c *Coordinator) Renew(req RenewRequest) RenewResponse {
 // through AppendIfAbsent before the trial is marked done — a crash between
 // the two at worst re-issues an already-stored trial, whose completion then
 // dedupes; the store never ends up with two records for one key.
+//
+// The worker's record is not trusted: a completion is rejected unless the
+// key is one this sweep expanded and both the record's key and its config's
+// key equal it. A rejection changes nothing — no append, no done mark, the
+// lease kept — so the lease expires and the trial is re-issued.
 func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
+	// Hash outside the lock: it depends only on the request.
+	ownRecord := req.Record.Key == req.Key && results.KeyOf(req.Record.Config) == req.Key
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	idxs, ok := c.byKey[req.Key]
 	if !ok {
 		c.logf("fleet: rejecting completion of unknown key %s from %s", req.Key, req.Worker)
+		return CompleteResponse{Accepted: false}, nil
+	}
+	if !ownRecord {
+		c.logf("fleet: rejecting completion of %s from %s: record is for another trial (key %s)",
+			short(req.Key), req.Worker, short(req.Record.Key))
 		return CompleteResponse{Accepted: false}, nil
 	}
 	delete(c.leases, req.LeaseID)
@@ -425,9 +402,8 @@ func (c *Coordinator) Complete(req CompleteRequest) (CompleteResponse, error) {
 func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 
 // Granted reports the cumulative number of leases granted over the
-// coordinator's lifetime (primary and batch alike). `epochgrid -serve`
-// polls it to detect that no worker ever showed up and fall back to
-// draining locally.
+// coordinator's lifetime. `epochgrid -serve` polls it to detect that no
+// worker ever showed up and fall back to draining locally.
 func (c *Coordinator) Granted() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -517,6 +493,13 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/v1/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
 		if !decode(w, r, &req) {
+			return
+		}
+		if req.Schema != results.SchemaVersion {
+			// A worker at another schema would hash different TrialKeys:
+			// refuse it at its first lease rather than at every completion.
+			http.Error(w, fmt.Sprintf("schema mismatch: worker schema %d, coordinator schema %d",
+				req.Schema, results.SchemaVersion), http.StatusConflict)
 			return
 		}
 		resp, err := c.Lease(req)

@@ -1,11 +1,18 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +249,175 @@ func TestCompleteUnknownKeyRejected(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Fatal("rejected completion must not reach the store")
+	}
+}
+
+// TestCompleteMismatchedRecordRejected: a completion whose record belongs to
+// another trial must not mark the leased trial done. Accepting it would
+// count the trial executed while the store holds nothing under its key, so
+// Summaries would silently lose it. The rejection leaves the lease in
+// place; expiry re-issues the trial as for any silent worker.
+func TestCompleteMismatchedRecordRejected(t *testing.T) {
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	store := results.NewMemStore()
+	cfgs := tinyCfgs(2)
+	coord, err := NewCoordinator(cfgs, 1, CoordinatorConfig{Store: store, LeaseTTL: time.Second, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := coord.Lease(LeaseRequest{Worker: "confused", Capacity: -1})
+	if err != nil || l.Status != StatusLease {
+		t.Fatalf("lease: %+v, %v", l, err)
+	}
+	other := cfgs[0]
+	if results.KeyOf(other) == l.Key {
+		other = cfgs[1]
+	}
+	wrong := results.NewRecord(other, fakeTrial(other))
+	forged := wrong
+	forged.Key = l.Key // claims the leased key, but its config says otherwise
+	for _, rec := range []results.Record{wrong, forged} {
+		resp, err := coord.Complete(CompleteRequest{LeaseID: l.LeaseID, Worker: "confused", Key: l.Key, Record: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Accepted || resp.Done {
+			t.Fatalf("completion with record %s for leased key %s = %+v, want rejected", rec.Key, l.Key, resp)
+		}
+	}
+	if store.Len() != 0 {
+		t.Fatalf("rejected completions reached the store (%d records)", store.Len())
+	}
+	st := coord.Status()
+	if st.Executed != 0 || st.Done != 0 || st.Complete || st.Leased != 1 {
+		t.Fatalf("rejection changed coordinator state: %+v", st)
+	}
+	now = now.Add(2 * time.Second)
+	l2, err := coord.Lease(LeaseRequest{Worker: "honest", Capacity: -1})
+	if err != nil || l2.Key != l.Key {
+		t.Fatalf("expired lease not re-issued: %+v, %v", l2, err)
+	}
+	resp, err := coord.Complete(CompleteRequest{LeaseID: l2.LeaseID, Worker: "honest", Key: l2.Key,
+		Record: results.NewRecord(l2.Config, fakeTrial(l2.Config))})
+	if err != nil || !resp.Accepted {
+		t.Fatalf("honest completion: %+v, %v", resp, err)
+	}
+	if n := len(store.Get(l.Key)); n != 1 {
+		t.Fatalf("store holds %d records under the leased key, want 1", n)
+	}
+}
+
+// TestLeaseSchemaSkewRejected: a worker built at another results schema
+// would hash different TrialKeys, so the coordinator refuses it at its first
+// lease with a 409 naming both versions — also when the request carries no
+// schema at all — and the worker treats that as final and exits.
+func TestLeaseSchemaSkewRejected(t *testing.T) {
+	store := results.NewMemStore()
+	coord, err := NewCoordinator(tinyCfgs(1), 1, CoordinatorConfig{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startFleet(t, coord)
+	skewed := results.SchemaVersion + 1
+	for _, body := range []string{
+		fmt.Sprintf(`{"worker":"old","schema":%d}`, skewed),
+		`{"worker":"older"}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/lease", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("lease %s answered %d (%s), want 409", body, resp.StatusCode, msg)
+		}
+		if !strings.Contains(string(msg), strconv.Itoa(results.SchemaVersion)) {
+			t.Fatalf("409 message %q does not name the coordinator schema", msg)
+		}
+	}
+
+	// A whole worker at the skewed schema: rewrite its lease requests on
+	// the way in, and expect Run to give up with the protocol error.
+	rewrite := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/lease" {
+			var req map[string]any
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			req["schema"] = skewed
+			b, _ := json.Marshal(req)
+			r.Body = io.NopCloser(bytes.NewReader(b))
+			r.ContentLength = int64(len(b))
+		}
+		coord.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(rewrite.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err = newWorker(t, rewrite.URL, "skewed", 3).Run(ctx)
+	if err == nil || IsRPCError(err) || ctx.Err() != nil {
+		t.Fatalf("skewed worker Run = %v, want a final protocol error", err)
+	}
+	for _, want := range []string{"409", strconv.Itoa(skewed), strconv.Itoa(results.SchemaVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("worker error %q does not mention %s", err, want)
+		}
+	}
+	if coord.Granted() != 0 || len(store.Journal()) != 0 {
+		t.Fatalf("skewed worker was granted %d leases", coord.Granted())
+	}
+}
+
+// TestLocalWorkerDrains pins degraded-local mode as `epochgrid -serve` runs
+// it: a worker named "local" with unlimited capacity drains the whole sweep
+// over HTTP through the same lease/complete state machine remote workers
+// use — claims journaled, status converged, one record per key.
+func TestLocalWorkerDrains(t *testing.T) {
+	store := results.NewMemStore()
+	coord, err := NewCoordinator(tinyCfgs(2), 2, CoordinatorConfig{Store: store, LeaseTTL: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorker(t, startFleet(t, coord).URL, "local", 5)
+	w.Capacity = -1
+	w.SpoolPath = ""
+	if _, err := w.Run(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+	st := coord.Status()
+	if !st.Complete || st.Executed != 4 || st.Duplicates != 0 {
+		t.Fatalf("local drain did not converge: %+v", st)
+	}
+	if coord.Granted() != 4 {
+		t.Fatalf("granted %d leases, want 4", coord.Granted())
+	}
+	for _, k := range store.Keys() {
+		if n := len(store.Get(k)); n != 1 {
+			t.Fatalf("key %s has %d records, want 1", k, n)
+		}
+	}
+	// Every grant left an auditable claim in the journal.
+	claims := 0
+	for _, rec := range store.Journal() {
+		if rec.Kind == results.KindClaim && rec.Worker == "local" {
+			claims++
+		}
+	}
+	if claims != 4 {
+		t.Fatalf("journaled %d local claims, want 4", claims)
+	}
+	// The status surface attributes the work to the local worker.
+	found := false
+	for _, w := range st.Workers {
+		if w.Name == "local" && w.Done == 4 {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("status missing local worker attribution: %+v", st.Workers)
 	}
 }
 

@@ -2,8 +2,9 @@
 // distributed coordination substrate: a small HTTP coordinator that owns one
 // sweep (expanded trial configs + the store) and hands trials to worker
 // processes under time-bounded leases, and a worker that pulls leases, runs
-// trials through the grid runner's per-trial path, and streams completed
-// records back.
+// each trial through the grid runner's per-trial path (grid.Runner.Execute —
+// the worker uses the Runner's retry policy only, not its OnProgress, store
+// or counters), and streams completed records back.
 //
 // The robustness model is the same one the harness applies to reclaimers
 // (bench/faults): every process in the fleet is an adversary candidate.
@@ -21,6 +22,10 @@
 //   - A worker that loses the coordinator degrades gracefully: it finishes
 //     its leased trial, spools the record to a local JSONL, and replays the
 //     spool when the coordinator comes back.
+//   - The coordinator trusts no worker: a lease request from another
+//     results schema is refused (409), and a completion whose record is
+//     not the completed key's trial is rejected and its lease left to
+//     expire.
 //   - The coordinator journals lease claims — and persists completions —
 //     through the same crash-safe O_APPEND log as every other sweep, so a
 //     coordinator killed mid-sweep restarts with `-serve` against the same
@@ -49,11 +54,16 @@ const (
 	StatusDone = "done"
 )
 
-// LeaseRequest asks the coordinator for one or more trials.
+// LeaseRequest asks the coordinator for one trial.
 type LeaseRequest struct {
 	// Worker is the requesting worker's self-chosen name, journaled with
 	// the claim for audit.
 	Worker string `json:"worker"`
+	// Schema is the worker's results.SchemaVersion, stamped by Client.Lease.
+	// The coordinator refuses (409) a lease to a worker built at any other
+	// version — including one that sends none — since its records would
+	// hash to different TrialKeys.
+	Schema int `json:"schema"`
 	// Capacity is the worker's advertised thread capacity (typically its
 	// GOMAXPROCS). The coordinator grants the costliest pending trial whose
 	// Threads fit the capacity, so big trials land on big workers while
@@ -62,23 +72,6 @@ type LeaseRequest struct {
 	// the cheapest pending trial anyway — an undersized worker runs a trial
 	// slowly rather than the sweep stalling forever.
 	Capacity int `json:"capacity,omitempty"`
-	// MaxTrials caps how many trials this response may carry (primary +
-	// Extra batch grants). <= 1 requests the classic single grant. Batch
-	// grants amortize RPC round-trips over cheap trials: the coordinator
-	// fills the batch with the cheapest fitting pending trials, each under
-	// its own journaled lease.
-	MaxTrials int `json:"max_trials,omitempty"`
-}
-
-// Grant is one extra trial granted in a batch lease. It carries the same
-// fields as a primary grant; the worker runs and Completes each grant
-// independently, so a crashed worker's whole batch expires and re-issues
-// like any other leases.
-type Grant struct {
-	LeaseID         string               `json:"lease_id"`
-	Key             string               `json:"key"`
-	Config          bench.WorkloadConfig `json:"config"`
-	ExpiresUnixNano int64                `json:"expires_unix_ns,omitempty"`
 }
 
 // LeaseResponse carries a granted lease (StatusLease) or a polling
@@ -100,11 +93,6 @@ type LeaseResponse struct {
 	ExpiresUnixNano int64 `json:"expires_unix_ns,omitempty"`
 	// RetryMs is the suggested poll delay for StatusWait.
 	RetryMs int `json:"retry_ms,omitempty"`
-	// Extra carries batch grants beyond the primary lease (at most
-	// MaxTrials-1, and never more than the coordinator's batch cap). The
-	// primary lease stays in the flat fields above, so a worker that
-	// ignores Extra behaves exactly as before.
-	Extra []Grant `json:"extra,omitempty"`
 }
 
 // RenewRequest extends a held lease.
@@ -132,9 +120,11 @@ type CompleteRequest struct {
 
 // CompleteResponse acknowledges a completion.
 type CompleteResponse struct {
-	// Accepted is false only for a key the coordinator has never heard of
-	// (e.g. the worker is talking to a coordinator restarted with a
-	// different sweep).
+	// Accepted is false for a key the coordinator has never heard of (e.g.
+	// the worker is talking to a coordinator restarted with a different
+	// sweep) and for a record that is not the keyed trial's (its own key or
+	// its config's key differs from Key). A rejected completion changes
+	// nothing: the lease stays, expires, and the trial is re-issued.
 	Accepted bool `json:"accepted"`
 	// Duplicate means the trial was already done (lease race, replayed
 	// spool); the record was discarded by key dedupe. Not an error.

@@ -85,72 +85,6 @@ func TestLeaseRespectsCapacity(t *testing.T) {
 	}
 }
 
-// TestBatchLeaseDedupeSafety pins batch grants: one RPC carries multiple
-// trials under distinct lease IDs and distinct keys, every claim is
-// journaled, and a duplicated completion of a batched trial dedupes exactly
-// like a primary one.
-func TestBatchLeaseDedupeSafety(t *testing.T) {
-	store := results.NewMemStore()
-	coord, err := NewCoordinator(costedCfgs(), 1, CoordinatorConfig{Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := coord.Lease(LeaseRequest{Worker: "batcher", Capacity: -1, MaxTrials: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l.Extra) != 2 {
-		t.Fatalf("batch carried %d extras, want 2", len(l.Extra))
-	}
-	seenKeys := map[string]bool{l.Key: true}
-	seenLeases := map[string]bool{l.LeaseID: true}
-	grants := append([]Grant{{LeaseID: l.LeaseID, Key: l.Key, Config: l.Config}}, l.Extra...)
-	for _, g := range grants {
-		if seenKeys[g.Key] && g.Key != l.Key {
-			t.Fatalf("batch granted key %s twice", g.Key)
-		}
-		if seenLeases[g.LeaseID] && g.LeaseID != l.LeaseID {
-			t.Fatalf("batch reused lease id %s", g.LeaseID)
-		}
-		seenKeys[g.Key] = true
-		seenLeases[g.LeaseID] = true
-	}
-	// The primary is the costliest fitting trial; extras fill cheapest-first.
-	if grid.StaticCost(l.Config) < grid.StaticCost(l.Extra[0].Config) {
-		t.Fatalf("primary grant cheaper than batched extra")
-	}
-	// Every grant journaled its own claim.
-	claims := 0
-	for _, rec := range store.Journal() {
-		if rec.Kind == results.KindClaim {
-			claims++
-		}
-	}
-	if claims != 3 {
-		t.Fatalf("journaled %d claims, want 3", claims)
-	}
-	// Complete one batched grant twice: first lands, second dedupes.
-	g := l.Extra[0]
-	rec := results.NewRecord(g.Config, fakeTrial(g.Config))
-	r1, err := coord.Complete(CompleteRequest{LeaseID: g.LeaseID, Worker: "batcher", Key: g.Key, Record: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Accepted || r1.Duplicate {
-		t.Fatalf("first completion = %+v, want accepted non-duplicate", r1)
-	}
-	r2, err := coord.Complete(CompleteRequest{LeaseID: g.LeaseID, Worker: "batcher", Key: g.Key, Record: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Accepted || !r2.Duplicate {
-		t.Fatalf("repeat completion = %+v, want duplicate", r2)
-	}
-	if n := len(store.Get(g.Key)); n != 1 {
-		t.Fatalf("store holds %d records for the batched key, want 1", n)
-	}
-}
-
 // TestStatusETAAndWorkerRates pins the status surface: once completions
 // flow, the coordinator reports a cost-model ETA for the remainder and
 // per-worker completion rates under the injected clock.
@@ -203,36 +137,5 @@ func TestStatusETAAndWorkerRates(t *testing.T) {
 	}
 	if st.Workers[0].Name >= st.Workers[1].Name {
 		t.Fatalf("workers not sorted by name: %v", st.Workers)
-	}
-}
-
-// TestBatchedWorkerDrains runs a real worker with LeaseBatch over HTTP and
-// checks the queue-then-complete path converges with zero duplicates.
-func TestBatchedWorkerDrains(t *testing.T) {
-	store := results.NewMemStore()
-	cfgs := tinyCfgs(3)
-	coord, err := NewCoordinator(cfgs, 2, CoordinatorConfig{Store: store, LeaseTTL: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := startFleet(t, coord)
-	w := newWorker(t, srv.URL, "batched", 7)
-	w.LeaseBatch = 4
-	w.Capacity = -1
-	stats, err := w.Run(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Executed != 6 {
-		t.Fatalf("executed %d, want 6", stats.Executed)
-	}
-	st := coord.Status()
-	if !st.Complete || st.Duplicates != 0 {
-		t.Fatalf("batched drain did not converge cleanly: %+v", st)
-	}
-	for _, k := range store.Keys() {
-		if n := len(store.Get(k)); n != 1 {
-			t.Fatalf("key %s has %d records, want 1", k, n)
-		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/results"
 )
 
 // Client is the worker side of the fleet RPC surface. Every call carries a
@@ -142,10 +143,12 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// Lease asks for one or more trials (req.MaxTrials > 1 requests a batch;
-// req.Capacity advertises the worker's thread capacity for cost-aware
-// placement).
+// Lease asks for one trial (req.Capacity advertises the worker's thread
+// capacity for cost-aware placement). It stamps req.Schema with this
+// build's results.SchemaVersion, so a coordinator at another schema refuses
+// the worker at its first lease.
 func (c *Client) Lease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
+	req.Schema = results.SchemaVersion
 	var resp LeaseResponse
 	err := c.do(ctx, "/v1/lease", req, &resp)
 	return resp, err

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/grid"
 	"repro/internal/results"
 )
@@ -36,20 +35,24 @@ type WorkerStats struct {
 }
 
 // Worker pulls leased trials from a coordinator and executes them through
-// the grid runner's per-trial path (panic recovery, watchdog, bounded retry
-// with cancellable jittered backoff). It is a grid.Source whose Next is an
-// HTTP lease and whose Complete is an HTTP completion with a local JSONL
-// spool as the fallback: a worker that loses the coordinator finishes its
-// leased trial, spools the record, and replays the spool on reconnect —
-// losing nothing — while its expired lease lets the rest of the fleet make
-// progress (at worst duplicating work the dedupe then discards).
+// the grid runner's per-trial path, Runner.Execute (panic recovery, watchdog,
+// bounded retry with cancellable jittered backoff). Its loop is lease →
+// Execute → complete, with a local JSONL spool as the completion fallback: a
+// worker that loses the coordinator finishes its leased trial, spools the
+// record, and replays the spool on reconnect — losing nothing — while its
+// expired lease lets the rest of the fleet make progress (at worst
+// duplicating work the dedupe then discards). A worker is serial by design:
+// a fleet's parallelism is N workers, each honestly loaded with one trial,
+// so the coordinator's lease table is the single source of truth about
+// in-flight work.
 type Worker struct {
 	// Client is the RPC client; required (its Base addresses the
 	// coordinator).
 	Client *Client
-	// Runner supplies the per-trial execution policy (Retries, Backoff,
-	// OnProgress). Its Store is ignored — the coordinator owns persistence.
-	// Nil means a zero Runner (no retries).
+	// Runner supplies the per-trial execution policy (Retries, Backoff)
+	// through Runner.Execute. Its Store, OnProgress and counters are unused —
+	// the coordinator owns persistence and WorkerStats counts this worker's
+	// trials. Nil means a zero Runner (no retries).
 	Runner *grid.Runner
 	// Name identifies this worker in claims and logs; "" means
 	// "host:pid".
@@ -66,21 +69,13 @@ type Worker struct {
 	// the costliest trial whose Threads fit. 0 means GOMAXPROCS; negative
 	// means unlimited (accept anything).
 	Capacity int
-	// LeaseBatch, when > 1, asks the coordinator for up to LeaseBatch
-	// trials per lease RPC; extra grants queue locally and are run before
-	// the next round-trip. Amortizes lease latency over cheap trials.
-	LeaseBatch int
 	// Logf, when set, receives one line per worker event.
 	Logf func(format string, args ...any)
 
 	mu       sync.Mutex
 	stats    WorkerStats
 	degraded bool
-
-	lease    LeaseResponse // current lease (source state between Next and Complete)
-	queued   []Grant       // batch grants not yet started, run FIFO before the next lease RPC
-	renewCh  chan struct{} // closes to stop the renewal loop
-	doneHint bool          // a completion response said the sweep is over
+	doneHint bool // a completion response said the sweep is over
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -100,16 +95,32 @@ func (w *Worker) name() string {
 // Run drains the coordinator until the sweep is done or ctx is canceled,
 // returning what this worker accomplished. Transport loss mid-sweep is not
 // an error — the worker degrades, spools, reconnects, and keeps going; only
-// cancellation and protocol-level impossibilities end the run early.
+// cancellation and protocol-level rejections (a 4xx such as a schema
+// mismatch) end the run early.
 func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 	r := w.Runner
 	if r == nil {
 		r = &grid.Runner{}
 	}
-	err := r.Drain(ctx, (*workerSource)(w))
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats, err
+	reconnect := grid.NewBackoff(250*time.Millisecond, w.Client.Seed^0xf1eed)
+	for {
+		lease, ok, err := w.lease(ctx, reconnect)
+		if err != nil || !ok {
+			return w.Stats(), err
+		}
+		stopRenewal := w.startRenewal(ctx, lease)
+		rec, _, err := r.Execute(ctx, lease.Config)
+		stopRenewal()
+		if err == nil {
+			err = w.complete(ctx, lease, rec)
+		}
+		if err != nil {
+			// A canceled backoff or a stop order: the failure was never
+			// final, so nothing is reported — the lease will expire and the
+			// trial will be re-issued elsewhere.
+			return w.Stats(), err
+		}
+	}
 }
 
 // Stats snapshots the worker's counters.
@@ -119,72 +130,47 @@ func (w *Worker) Stats() WorkerStats {
 	return w.stats
 }
 
-// workerSource adapts Worker to grid.Source. Methods run serially from one
-// Drain loop; the mutex only guards the stats against concurrent Stats()
-// readers.
-type workerSource Worker
-
-// Next leases the next trial: replay any spool first (the reconnect
+// lease obtains the next trial: replay any spool first (the reconnect
 // contract), then poll the coordinator through wait states and outages until
-// a lease, done, or cancellation.
-func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, error) {
-	w := (*Worker)(s)
-	reconnect := grid.NewBackoff(250*time.Millisecond, w.Client.Seed^0xf1eed)
+// a lease (ok), done (!ok), or cancellation.
+func (w *Worker) lease(ctx context.Context, reconnect *grid.Backoff) (LeaseResponse, bool, error) {
+	capacity := w.Capacity
+	if capacity == 0 {
+		capacity = runtime.GOMAXPROCS(0)
+	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return bench.WorkloadConfig{}, false, err
+			return LeaseResponse{}, false, err
 		}
 		if w.doneHint {
 			// A completion response already said the sweep is over — exit
 			// without another round trip (the coordinator may be gone by now).
-			return bench.WorkloadConfig{}, false, nil
-		}
-		if len(w.queued) > 0 {
-			// Run down the local batch queue before another lease RPC. A
-			// queued grant's lease may be old; that is survivable — renewal
-			// keeps it alive from here, and even a server-side expiry only
-			// costs a duplicate the dedupe absorbs.
-			g := w.queued[0]
-			w.queued = w.queued[1:]
-			w.lease = LeaseResponse{
-				Status: StatusLease, LeaseID: g.LeaseID, Key: g.Key,
-				Config: g.Config, ExpiresUnixNano: g.ExpiresUnixNano,
-			}
-			w.startRenewal(ctx)
-			w.logf("fleet-worker %s: dequeued batched %s (%s)", w.name(),
-				results.Label(g.Config), short(g.Key))
-			return g.Config, true, nil
+			return LeaseResponse{}, false, nil
 		}
 		if w.replaySpool(ctx) {
 			// Spool fully drained (or empty): the link is healthy.
 			w.healed(reconnect)
 		}
-		capacity := w.Capacity
-		if capacity == 0 {
-			capacity = runtime.GOMAXPROCS(0)
-		}
-		resp, err := w.Client.Lease(ctx, LeaseRequest{
-			Worker: w.name(), Capacity: capacity, MaxTrials: w.LeaseBatch,
-		})
+		resp, err := w.Client.Lease(ctx, LeaseRequest{Worker: w.name(), Capacity: capacity})
 		if err != nil {
 			if ctx.Err() != nil {
-				return bench.WorkloadConfig{}, false, ctx.Err()
+				return LeaseResponse{}, false, ctx.Err()
 			}
 			if !IsRPCError(err) {
-				return bench.WorkloadConfig{}, false, err
+				return LeaseResponse{}, false, err
 			}
 			// Coordinator unreachable: degraded mode. Keep trying — it
 			// journals its state and is built to come back.
 			w.degrade(err)
 			if err := reconnect.Sleep(ctx); err != nil {
-				return bench.WorkloadConfig{}, false, err
+				return LeaseResponse{}, false, err
 			}
 			continue
 		}
 		w.healed(reconnect)
 		switch resp.Status {
 		case StatusDone:
-			return bench.WorkloadConfig{}, false, nil
+			return LeaseResponse{}, false, nil
 		case StatusWait:
 			retry := time.Duration(resp.RetryMs) * time.Millisecond
 			if retry <= 0 {
@@ -195,28 +181,20 @@ func (s *workerSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, er
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				return bench.WorkloadConfig{}, false, ctx.Err()
+				return LeaseResponse{}, false, ctx.Err()
 			}
-			continue
 		case StatusLease:
-			w.lease = resp
-			w.queued = append(w.queued, resp.Extra...)
-			w.startRenewal(ctx)
-			w.logf("fleet-worker %s: leased %s (%s), %d batched", w.name(),
-				results.Label(resp.Config), short(resp.Key), len(resp.Extra))
-			return resp.Config, true, nil
+			w.logf("fleet-worker %s: leased %s (%s)", w.name(),
+				results.Label(resp.Config), short(resp.Key))
+			return resp, true, nil
 		default:
-			return bench.WorkloadConfig{}, false, fmt.Errorf("fleet: unknown lease status %q", resp.Status)
+			return LeaseResponse{}, false, fmt.Errorf("fleet: unknown lease status %q", resp.Status)
 		}
 	}
 }
 
-// Complete reports the finished trial, spooling on coordinator loss.
-func (s *workerSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error {
-	w := (*Worker)(s)
-	w.stopRenewal()
-	lease := w.lease
-	w.lease = LeaseResponse{}
+// complete reports the finished trial, spooling on coordinator loss.
+func (w *Worker) complete(ctx context.Context, lease LeaseResponse, rec results.Record) error {
 	if err := ctx.Err(); err != nil {
 		// Cancellation is a stop order, not an outage: drop the record (the
 		// lease will expire and the trial will be re-issued) and unwind.
@@ -287,48 +265,40 @@ func (w *Worker) healed(reconnect *grid.Backoff) {
 	}
 }
 
-// startRenewal keeps the current lease alive while the trial runs. Renewal
-// failures are survivable by design (dedupe absorbs a re-issued trial), so
-// errors are logged and otherwise ignored.
-func (w *Worker) startRenewal(ctx context.Context) {
+// startRenewal keeps lease alive while its trial runs, until the returned
+// stop function is called. Renewal failures are survivable by design (dedupe
+// absorbs a re-issued trial), so errors are logged and otherwise ignored.
+func (w *Worker) startRenewal(ctx context.Context, lease LeaseResponse) (stop func()) {
 	every := w.RenewEvery
 	if every <= 0 {
-		if exp := time.Until(time.Unix(0, w.lease.ExpiresUnixNano)); exp > 0 {
+		if exp := time.Until(time.Unix(0, lease.ExpiresUnixNano)); exp > 0 {
 			every = exp / 3
 		}
 		if every <= 0 {
 			every = 5 * time.Second
 		}
 	}
-	stop := make(chan struct{})
-	w.renewCh = stop
-	leaseID := w.lease.LeaseID
+	done := make(chan struct{})
 	go func() {
 		t := time.NewTicker(every)
 		defer t.Stop()
 		for {
 			select {
-			case <-stop:
+			case <-done:
 				return
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				resp, err := w.Client.Renew(ctx, RenewRequest{LeaseID: leaseID, Worker: w.name()})
+				resp, err := w.Client.Renew(ctx, RenewRequest{LeaseID: lease.LeaseID, Worker: w.name()})
 				if err != nil {
-					w.logf("fleet-worker %s: renew %s failed: %v", w.name(), leaseID, err)
+					w.logf("fleet-worker %s: renew %s failed: %v", w.name(), lease.LeaseID, err)
 				} else if !resp.OK {
-					w.logf("fleet-worker %s: lease %s expired server-side; finishing anyway (dedupe)", w.name(), leaseID)
+					w.logf("fleet-worker %s: lease %s expired server-side; finishing anyway (dedupe)", w.name(), lease.LeaseID)
 				}
 			}
 		}
 	}()
-}
-
-func (w *Worker) stopRenewal() {
-	if w.renewCh != nil {
-		close(w.renewCh)
-		w.renewCh = nil
-	}
+	return func() { close(done) }
 }
 
 // spool appends an undeliverable record to the local JSONL spool. Same
@@ -413,6 +383,11 @@ func (w *Worker) replaySpool(ctx context.Context) bool {
 	if len(remaining) == 0 {
 		os.Remove(w.SpoolPath)
 		return true
+	}
+	if len(remaining) == len(recs) {
+		// Nothing delivered: the spool already holds exactly the undelivered
+		// records, and rewriting it would open a window in which it is empty.
+		return false
 	}
 	// Rewrite the spool to only the undelivered tail. A crash between
 	// delivery and this rewrite re-replays a delivered record later — which

@@ -86,92 +86,57 @@ func TestBackoffSleepCancellable(t *testing.T) {
 	}
 }
 
-// sliceSource feeds Drain a fixed config list and collects completions.
-type sliceSource struct {
-	cfgs []bench.WorkloadConfig
-	i    int
-	recs []results.Record
-}
-
-func (s *sliceSource) Next(ctx context.Context) (bench.WorkloadConfig, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return bench.WorkloadConfig{}, false, err
-	}
-	if s.i >= len(s.cfgs) {
-		return bench.WorkloadConfig{}, false, nil
-	}
-	cfg := s.cfgs[s.i]
-	s.i++
-	return cfg, true, nil
-}
-
-func (s *sliceSource) Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error {
-	s.recs = append(s.recs, rec)
-	return nil
-}
-
-func TestDrainRunsEverySourcedTrial(t *testing.T) {
+func TestExecuteRunsConfigVerbatim(t *testing.T) {
 	swapRunTrial(t, func(cfg bench.WorkloadConfig) (bench.TrialResult, error) {
 		return bench.TrialResult{Scenario: cfg.Scenario, Seed: cfg.Seed, Ops: 1}, nil
 	})
-	cfgs := twoConfigs()
-	src := &sliceSource{cfgs: cfgs}
 	r := &Runner{}
-	if err := r.Drain(context.Background(), src); err != nil {
-		t.Fatal(err)
-	}
-	if len(src.recs) != len(cfgs) {
-		t.Fatalf("drained %d records, want %d", len(src.recs), len(cfgs))
-	}
-	for i, rec := range src.recs {
-		if rec.Quarantined {
-			t.Fatalf("record %d quarantined: %+v", i, rec)
+	for i, cfg := range twoConfigs() {
+		rec, n, err := r.Execute(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := results.KeyOf(cfgs[i]); rec.Key != want {
-			t.Fatalf("record %d key %s, want %s (configs must run verbatim)", i, rec.Key, want)
+		if rec.Quarantined || n != 1 {
+			t.Fatalf("config %d: quarantined=%v attempts=%d, want a record after 1 attempt", i, rec.Quarantined, n)
 		}
-	}
-	if ex, _ := r.Counts(); ex != len(cfgs) {
-		t.Fatalf("runner counted %d executed, want %d", ex, len(cfgs))
+		if want := results.KeyOf(cfg); rec.Key != want {
+			t.Fatalf("config %d key %s, want %s (configs must run verbatim)", i, rec.Key, want)
+		}
 	}
 }
 
-func TestDrainQuarantinesPermanentFailure(t *testing.T) {
+func TestExecuteQuarantinesPermanentFailure(t *testing.T) {
 	calls := 0
 	swapRunTrial(t, func(cfg bench.WorkloadConfig) (bench.TrialResult, error) {
 		calls++
 		return bench.TrialResult{}, errTrial
 	})
-	src := &sliceSource{cfgs: twoConfigs()[:1]}
 	r := &Runner{Retries: 2, Backoff: time.Microsecond}
-	if err := r.Drain(context.Background(), src); err != nil {
+	rec, n, err := r.Execute(context.Background(), twoConfigs()[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 {
-		t.Fatalf("failing trial ran %d times, want 1 + 2 retries", calls)
+	if calls != 3 || n != 3 {
+		t.Fatalf("failing trial ran %d times (reported %d), want 1 + 2 retries", calls, n)
 	}
-	if len(src.recs) != 1 || !src.recs[0].Quarantined {
-		t.Fatalf("permanent failure must complete as a quarantine record: %+v", src.recs)
-	}
-	if r.Quarantines() != 1 {
-		t.Fatalf("runner counted %d quarantines, want 1", r.Quarantines())
+	if !rec.Quarantined || rec.Error != errTrial.Error() {
+		t.Fatalf("permanent failure must return a quarantine record: %+v", rec)
 	}
 }
 
-func TestDrainCanceledMidBackoffReportsNothing(t *testing.T) {
+func TestExecuteCanceledMidBackoffReturnsNoRecord(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	swapRunTrial(t, func(cfg bench.WorkloadConfig) (bench.TrialResult, error) {
 		cancel() // fail, then die while the retry backoff sleeps
 		return bench.TrialResult{}, errTrial
 	})
-	src := &sliceSource{cfgs: twoConfigs()[:1]}
 	r := &Runner{Retries: 5, Backoff: time.Hour}
-	err := r.Drain(ctx, src)
-	if err != context.Canceled {
-		t.Fatalf("Drain returned %v, want context.Canceled", err)
+	rec, _, err := r.Execute(ctx, twoConfigs()[0])
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Execute returned %v, want context.Canceled", err)
 	}
-	if len(src.recs) != 0 {
-		t.Fatalf("canceled trial must not complete (lease expiry re-issues it): %+v", src.recs)
+	if rec.Key != "" || rec.Quarantined {
+		t.Fatalf("canceled trial must return no record (lease expiry re-issues it): %+v", rec)
 	}
 	if r.Quarantines() != 0 {
 		t.Fatal("a canceled retry is not a quarantine — the failure was never final")

@@ -80,8 +80,8 @@ const (
 	// ScheduleCost dispatches pending trials in descending estimated cost
 	// with budget-aware backfill (the default for Parallel > 1).
 	ScheduleCost = "cost"
-	// ScheduleFIFO dispatches in raw expansion order, the pre-scheduler
-	// behavior — the control arm of the makespan benchmark.
+	// ScheduleFIFO dispatches pending trials in expansion order — the
+	// control arm of the makespan benchmark.
 	ScheduleFIFO = "fifo"
 )
 
@@ -143,11 +143,11 @@ type Runner struct {
 	Cost *CostModel
 	// Schedule selects the Parallel > 1 dispatch order: "" (default) is
 	// cost-ordered — pending trials dispatched in descending estimated cost
-	// (longest-processing-time-first) with budget-aware backfill, minimizing
-	// sweep makespan on heterogeneous grids; ScheduleFIFO pins raw expansion
-	// order. The Parallel <= 1 serial path always runs in strict expansion
-	// order regardless of Schedule — that ordering is the bit-compatibility
-	// contract the golden baselines pin.
+	// (longest-processing-time-first), minimizing sweep makespan on
+	// heterogeneous grids; ScheduleFIFO keeps expansion order. Either order
+	// gets the same budget-aware backfill. With Parallel <= 1 trials always
+	// run in strict expansion order regardless of Schedule — that ordering
+	// is the bit-compatibility contract the golden baselines pin.
 	Schedule string
 
 	mu          sync.Mutex
@@ -187,14 +187,22 @@ func runTrialSafe(cfg bench.WorkloadConfig) (tr bench.TrialResult, err error) {
 	return runTrial(cfg)
 }
 
-// executeTrial is the shared per-trial path: run with panic recovery, retry
-// with seeded-jitter doubling backoff up to the runner's Retries budget, and
-// report how many attempts it took. The backoff sleep is context-cancellable
-// — an aborted sweep (or a fleet worker told to stop) returns ctx.Err()
-// immediately instead of hanging out its doubling waits. The jitter stream
-// is seeded from the trial's own seed, so retry timing is as reproducible as
-// the trial itself while distinct trials never retry in lockstep.
-func (r *Runner) executeTrial(ctx context.Context, cfg bench.WorkloadConfig) (bench.TrialResult, int, error) {
+// Execute is the shared per-trial path of the in-process runner and of fleet
+// workers: run cfg verbatim with panic recovery, retry with seeded-jitter
+// doubling backoff up to the runner's Retries budget, and return the trial's
+// record — a quarantine record when every attempt failed — with the number of
+// attempts it took. cfg must already be effective (ExpandTasks applied the
+// defaults): re-applying them here could silently change TrialKeys.
+//
+// The backoff sleep is context-cancellable: an aborted sweep (or a fleet
+// worker told to stop) gets ctx.Err() and no record, since a failure
+// interrupted mid-retry was never final. The jitter stream is seeded from the
+// trial's own seed, so retry timing is as reproducible as the trial itself
+// while distinct trials never retry in lockstep. Execute touches neither the
+// store nor the runner's counters; callers own persistence and accounting.
+// A recorded trial keeps its timeline Recorder on the returned record's Trial
+// (such records are never stored).
+func (r *Runner) Execute(ctx context.Context, cfg bench.WorkloadConfig) (results.Record, int, error) {
 	attempts := 1 + r.Retries
 	if attempts < 1 {
 		attempts = 1
@@ -213,11 +221,16 @@ func (r *Runner) executeTrial(ctx context.Context, cfg bench.WorkloadConfig) (be
 		}
 		if n < attempts {
 			if err := bo.Sleep(ctx); err != nil {
-				return tr, n, err
+				return results.Record{}, n, err
 			}
 		}
 	}
-	return tr, n, terr
+	if terr != nil {
+		return results.NewQuarantine(cfg, tr, terr), n, nil
+	}
+	rec := results.NewRecord(cfg, tr)
+	rec.Trial.Recorder = tr.Recorder
+	return rec, n, nil
 }
 
 // TrialTask is one expanded per-trial unit of work: the effective config
@@ -275,6 +288,18 @@ func (r *Runner) Run(cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, 
 // themselves are not preemptible mid-measurement — the per-trial watchdog is
 // the bound on those). The store still holds every trial completed before
 // the cancellation, so the sweep resumes where it stopped.
+//
+// Dispatch is one loop. Cache hits resolve first, in expansion order (no
+// slot, no tokens, no goroutine). The remaining trials then run in
+// descending estimated cost — longest-processing-time-first, minimizing
+// makespan on heterogeneous grids — when Parallel > 1 and Schedule is not
+// ScheduleFIFO, and in expansion order otherwise. Each dispatch takes the
+// first pending trial whose tokens are free right now, so slots stay busy
+// instead of idling behind a big trial; if none fits it blocks on the head.
+// With one slot every token is free at each dispatch, so Parallel <= 1 runs
+// strictly in expansion order — the bit-compatibility contract the golden
+// baselines pin. Results are index-addressed per task, so output order is
+// unaffected by execution order.
 func (r *Runner) RunContext(ctx context.Context, cfgs []bench.WorkloadConfig, trials int) ([]bench.Summary, error) {
 	parallel := r.Parallel
 	if parallel <= 0 {
@@ -313,15 +338,8 @@ func (r *Runner) RunContext(ctx context.Context, cfgs []bench.WorkloadConfig, tr
 	)
 	slots := make(chan struct{}, parallel)
 	tokens := newWeighted(budget)
-	cost := func(cfg bench.WorkloadConfig) int {
-		c := cfg.Threads
-		if c > budget {
-			c = budget
-		}
-		if c < 1 {
-			c = 1
-		}
-		return c
+	weight := func(cfg bench.WorkloadConfig) int {
+		return min(max(cfg.Threads, 1), budget)
 	}
 	finish := func(t TrialTask, fromCache bool, ferr error, attempts int) {
 		mu.Lock()
@@ -357,69 +375,79 @@ func (r *Runner) RunContext(ctx context.Context, cfgs []bench.WorkloadConfig, tr
 		}
 		mu.Unlock()
 	}
-	// model feeds measured elapsed times back into cost estimates. Only the
-	// cost-ordered dispatcher reads it, so the serial/FIFO paths skip the
-	// store scan NewCostModel does.
-	var model *CostModel
-	// fromCache resolves t against the store, recording the result and
-	// reporting whether the trial is satisfied. Hits cost no slot, no
-	// tokens, and no goroutine. A cached quarantine record is a hit too: a
-	// resumed sweep skips the key instead of re-wedging on it.
-	fromCache := func(t TrialTask) bool {
-		if r.Store == nil || t.Cfg.Record {
-			return false
+	stopped := func() bool {
+		mu.Lock()
+		stop := firstErr != nil
+		mu.Unlock()
+		return stop || ctx.Err() != nil
+	}
+
+	// Resolve cache hits against the store, in expansion order. A cached
+	// quarantine record is a hit too: a resumed sweep skips the key instead
+	// of re-wedging on it.
+	type pendingTrial struct {
+		t   TrialTask
+		est float64
+	}
+	pending := make([]pendingTrial, 0, len(tasks))
+	for _, t := range tasks {
+		if stopped() {
+			break
 		}
-		recs := r.Store.Get(results.KeyOf(t.Cfg))
-		if len(recs) == 0 {
-			return false
+		var recs []results.Record
+		if r.Store != nil && !t.Cfg.Record {
+			recs = r.Store.Get(results.KeyOf(t.Cfg))
 		}
-		if recs[0].Quarantined {
+		switch {
+		case len(recs) == 0:
+			pending = append(pending, pendingTrial{t: t})
+		case recs[0].Quarantined:
 			finish(t, true, fmt.Errorf("grid: %s: quarantined: %s",
 				results.Label(t.Cfg), recs[0].Error), 0)
-			return true
+		default:
+			perCfg[t.CfgIdx][t.TrialIdx] = recs[0].Trial
+			okCfg[t.CfgIdx][t.TrialIdx] = true
+			finish(t, true, nil, 0)
 		}
-		perCfg[t.CfgIdx][t.TrialIdx] = recs[0].Trial
-		okCfg[t.CfgIdx][t.TrialIdx] = true
-		finish(t, true, nil, 0)
-		return true
 	}
-	// execute is the per-trial goroutine body, shared by both dispatch
-	// orders; the caller holds a slot and w tokens, which it releases.
+	// model feeds measured elapsed times back into cost estimates. Only the
+	// cost-ordered path reads it, so expansion-order runs skip the store
+	// scan NewCostModel does.
+	var model *CostModel
+	if parallel > 1 && r.Schedule != ScheduleFIFO {
+		model = r.Cost
+		if model == nil {
+			model = NewCostModel(r.Store)
+		}
+		for i := range pending {
+			pending[i].est = model.Estimate(pending[i].t.Cfg)
+		}
+		// Stable sort: equal-cost trials keep expansion order, so scheduling
+		// is deterministic given the same model state.
+		sort.SliceStable(pending, func(i, j int) bool { return pending[i].est > pending[j].est })
+	}
+
+	// execute is the per-trial goroutine body; the caller holds a slot and
+	// w tokens, which it releases.
 	execute := func(t TrialTask, w int) {
 		defer wg.Done()
 		defer func() {
 			tokens.release(w)
 			<-slots
 		}()
-		// Bounded retry: trial failures (watchdog aborts, panics) are
-		// retried with jittered doubling backoff, then quarantined — the
-		// sweep never stops for one bad configuration. A canceled context
-		// aborts the backoff mid-wait; the interrupted trial is not
-		// quarantined (its failure was never final).
-		tr, n, terr := r.executeTrial(ctx, t.Cfg)
-		if terr != nil {
-			if ctx.Err() != nil && terr == ctx.Err() {
-				return
-			}
-			if r.Store != nil && !t.Cfg.Record {
-				rec := results.NewQuarantine(t.Cfg, tr, terr)
-				if err := r.Store.Append(rec); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("grid: %s: %w", results.Label(t.Cfg), err)
-					}
-					mu.Unlock()
-					return
-				}
-			}
-			finish(t, false, fmt.Errorf("grid: %s: %w", results.Label(t.Cfg), terr), n)
+		// Trial failures (watchdog aborts, panics) come back as quarantine
+		// records — the sweep never stops for one bad configuration. A
+		// canceled backoff comes back as ctx.Err(): the interrupted trial is
+		// not quarantined (its failure was never final).
+		rec, n, err := r.Execute(ctx, t.Cfg)
+		if err != nil {
 			return
 		}
-		if model != nil {
-			model.Observe(t.Cfg, tr.ElapsedNanos)
+		if model != nil && !rec.Quarantined {
+			model.Observe(t.Cfg, rec.ElapsedNanos)
 		}
 		if r.Store != nil && !t.Cfg.Record {
-			if err := r.Store.Append(results.NewRecord(t.Cfg, tr)); err != nil {
+			if err := r.Store.Append(rec); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("grid: %s: %w", results.Label(t.Cfg), err)
@@ -428,41 +456,33 @@ func (r *Runner) RunContext(ctx context.Context, cfgs []bench.WorkloadConfig, tr
 				return
 			}
 		}
-		perCfg[t.CfgIdx][t.TrialIdx] = tr
+		if rec.Quarantined {
+			finish(t, false, fmt.Errorf("grid: %s: %s", results.Label(t.Cfg), rec.Error), n)
+			return
+		}
+		perCfg[t.CfgIdx][t.TrialIdx] = rec.Trial
 		okCfg[t.CfgIdx][t.TrialIdx] = true
 		finish(t, false, nil, n)
 	}
-	stopped := func() bool {
-		mu.Lock()
-		stop := firstErr != nil
-		mu.Unlock()
-		return stop || ctx.Err() != nil
-	}
-
-	if parallel > 1 && r.Schedule != ScheduleFIFO {
-		model = r.Cost
-		if model == nil {
-			model = NewCostModel(r.Store)
-		}
-		r.runCostOrdered(tasks, model, cost, fromCache, execute, stopped, slots, tokens, &wg)
-	} else {
-		// Expansion-order dispatch: the serial (Parallel <= 1) contract and
-		// the ScheduleFIFO control arm. With Parallel <= 1 this runs trials
-		// strictly in expansion order, bit-compatible with every release
-		// since the runner existed — golden baselines pin it.
-		for _, t := range tasks {
-			if stopped() {
+	for len(pending) > 0 && !stopped() {
+		slots <- struct{}{}
+		// available() is advisory — releases race with this read — so the
+		// blocking acquire below stays the correctness point; a stale read
+		// only costs a less-perfect backfill choice.
+		free := tokens.available()
+		pick := 0
+		for i, p := range pending {
+			if weight(p.t.Cfg) <= free {
+				pick = i
 				break
 			}
-			if fromCache(t) {
-				continue
-			}
-			slots <- struct{}{}
-			w := cost(t.Cfg)
-			tokens.acquire(w)
-			wg.Add(1)
-			go execute(t, w)
 		}
+		t := pending[pick].t
+		pending = append(pending[:pick], pending[pick+1:]...)
+		w := weight(t.Cfg)
+		tokens.acquire(w)
+		wg.Add(1)
+		go execute(t, w)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -498,152 +518,9 @@ func (r *Runner) RunContext(ctx context.Context, cfgs []bench.WorkloadConfig, tr
 	return out, nil
 }
 
-// runCostOrdered is the Parallel > 1 dispatcher: longest-processing-time-
-// first with budget-aware backfill. Cache hits resolve up front in
-// expansion order (deterministic progress events, no scheduling cost);
-// the remaining trials dispatch in descending estimated cost, except that
-// when the token pool cannot fit the next big trial right now, the
-// costliest trial that does fit jumps the queue — slots stay busy instead
-// of idling behind a trial waiting for tokens. If nothing fits, the
-// dispatcher blocks on the head trial's tokens: that is plain LPT, and the
-// head is by construction the most expensive work left. Results are
-// index-addressed per task, so output order is unaffected by execution
-// order.
-func (r *Runner) runCostOrdered(
-	tasks []TrialTask, model *CostModel, weight func(bench.WorkloadConfig) int,
-	fromCache func(TrialTask) bool, execute func(TrialTask, int),
-	stopped func() bool, slots chan struct{}, tokens *weighted, wg *sync.WaitGroup,
-) {
-	type costed struct {
-		t   TrialTask
-		est float64
-	}
-	pending := make([]costed, 0, len(tasks))
-	for _, t := range tasks {
-		if stopped() {
-			return
-		}
-		if fromCache(t) {
-			continue
-		}
-		pending = append(pending, costed{t: t, est: model.Estimate(t.Cfg)})
-	}
-	// Stable sort: equal-cost trials keep expansion order, so scheduling is
-	// deterministic given the same model state.
-	sort.SliceStable(pending, func(i, j int) bool { return pending[i].est > pending[j].est })
-	for len(pending) > 0 {
-		if stopped() {
-			return
-		}
-		slots <- struct{}{}
-		// Backfill: prefer the head, but when its tokens aren't free right
-		// now, take the costliest pending trial that fits. available() is
-		// advisory — releases race with this read — so the blocking acquire
-		// below stays the correctness point; a stale read only costs a
-		// less-perfect backfill choice.
-		free := tokens.available()
-		pick := 0
-		if weight(pending[0].t.Cfg) > free {
-			for i := 1; i < len(pending); i++ {
-				if weight(pending[i].t.Cfg) <= free {
-					pick = i
-					break
-				}
-			}
-		}
-		t := pending[pick].t
-		pending = append(pending[:pick], pending[pick+1:]...)
-		w := weight(t.Cfg)
-		tokens.acquire(w)
-		wg.Add(1)
-		go execute(t, w)
-	}
-}
-
 // GridFunc adapts the runner to bench.Options.RunGrid, the injection point
 // the experiment sweeps route through.
 func (r *Runner) GridFunc() bench.GridFunc { return r.Run }
-
-// Source is a claim source: a stream of already-effective trial
-// configurations the runner executes one at a time, with a completion
-// channel back to whoever issued the claim. It abstracts where trials come
-// from — the in-process expansion Run uses, or a fleet coordinator leasing
-// trials over the network (internal/fleet) — while the per-trial execution
-// path (panic recovery, watchdog, bounded retry with cancellable jittered
-// backoff) stays identical.
-//
-// Configs arrive effective: defaults, fault plans, and chained seeds were
-// applied by whoever expanded the sweep (ExpandTasks), so Drain runs them
-// verbatim — re-applying defaults here could silently change TrialKeys and
-// break distributed caching.
-type Source interface {
-	// Next returns the next trial to execute. ok=false means the source is
-	// exhausted (sweep complete) and Drain should return nil. An error means
-	// the source is unreachable or shutting down; Drain returns it.
-	Next(ctx context.Context) (cfg bench.WorkloadConfig, ok bool, err error)
-	// Complete delivers the finished trial's record — a regular record for a
-	// success, a quarantine record for a permanent failure. The source owns
-	// persistence and dedupe.
-	Complete(ctx context.Context, cfg bench.WorkloadConfig, rec results.Record) error
-}
-
-// Drain pulls trials from src until it is exhausted, executing each through
-// the shared per-trial path and reporting the outcome back through
-// src.Complete. It is serial by design: a fleet worker's parallelism is N
-// worker processes, each honestly loaded with one trial, so the coordinator's
-// lease accounting — not a hidden in-process queue — is the single source of
-// truth about in-flight work. Progress events (when OnProgress is set) carry
-// Total == 0, since a claim source's size is unknown to the worker.
-func (r *Runner) Drain(ctx context.Context, src Source) error {
-	done := 0
-	var executed, failed int
-	for {
-		cfg, ok, err := src.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		tr, attempts, terr := r.executeTrial(ctx, cfg)
-		if terr != nil && ctx.Err() != nil && terr == ctx.Err() {
-			// The backoff was canceled mid-retry: the failure was never
-			// final, so no quarantine is reported — the claim's lease will
-			// expire and the trial will be re-issued elsewhere.
-			return terr
-		}
-		var rec results.Record
-		if terr != nil {
-			rec = results.NewQuarantine(cfg, tr, terr)
-		} else {
-			rec = results.NewRecord(cfg, tr)
-		}
-		if err := src.Complete(ctx, cfg, rec); err != nil {
-			return err
-		}
-		done++
-		r.mu.Lock()
-		if terr != nil {
-			r.quarantined++
-		} else {
-			r.executed++
-		}
-		r.mu.Unlock()
-		if r.OnProgress != nil {
-			if terr != nil {
-				failed++
-				terr = fmt.Errorf("grid: %s: %w", results.Label(cfg), terr)
-			} else {
-				executed++
-			}
-			r.OnProgress(Progress{
-				Done: done, Executed: executed, Failed: failed,
-				Key: results.KeyOf(cfg), Config: cfg,
-				Err: terr, Attempts: attempts,
-			})
-		}
-	}
-}
 
 // RunSpec expands and validates a spec, then runs it. Spec.Trials <= 0 is
 // normalized to 1 here (with the RunTrials seed chain, matching the Spec

@@ -14,7 +14,9 @@
 #      is the costliest (8-thread) trial — capacity-aware LPT granting,
 #      observed from outside through the claim journal;
 #   5. a coordinator with no workers at all drains the sweep itself after
-#      the -local-grace window (degraded-local mode).
+#      the -local-grace window (degraded-local mode): an in-process worker
+#      named "local" leases over loopback, so the store holds its journaled
+#      claims and exactly one record per key.
 #
 # Usage: scripts/distributed-smoke.sh [workdir]
 # Env:   OPS=4000   per-thread op budget of each trial (keep trials long
@@ -218,8 +220,8 @@ echo "distributed-smoke: heterogeneous gate passed (6 keys, 0 dups, capacity-awa
 
 # --- Phase 5: degraded-local drain -----------------------------------------
 # A coordinator with no workers must not hang: after -local-grace with zero
-# leases granted it drains the sweep in-process through the same lease
-# machinery, and the run converges.
+# leases granted it starts an in-process worker named "local" that leases
+# from its own listener over loopback, and the run converges.
 local_store="$work/local.jsonl"
 "$work/epochgrid" -serve "127.0.0.1:7743" -store "$local_store" \
   -reclaimers debra -threads 2 -trials 2 -ops "$ops" -keyrange 4096 \
@@ -235,5 +237,31 @@ if ! grep -qE '^grid: .*trials=2 .*executed=2' "$work/local-serve.log"; then
   cat "$work/local-serve.log" >&2
   exit 1
 fi
-echo "distributed-smoke: degraded-local gate passed (workerless sweep drained in-process)"
+# The local worker went through the same lease/complete/journal path a
+# remote worker uses: its claims are journaled, and dedupe held.
+python3 - "$local_store" <<'EOF'
+import json, sys
+from collections import Counter
+
+claims = 0
+keys = Counter()
+with open(sys.argv[1]) as f:
+    for line in f:
+        line = line.strip()
+        if not line:
+            continue
+        rec = json.loads(line)
+        if rec.get("kind") == "claim":
+            claims += rec.get("worker") == "local"
+        elif not rec.get("kind"):
+            keys[rec["key"]] += 1
+
+dups = {k: n for k, n in keys.items() if n > 1}
+if claims == 0 or dups or len(keys) != 2:
+    print(f"local store: {claims} local claims, {len(keys)} distinct keys, dups={dups}",
+          file=sys.stderr)
+    sys.exit(1)
+print(f"local store: {claims} claims by worker \"local\", {len(keys)} keys, one record each")
+EOF
+echo "distributed-smoke: degraded-local gate passed (workerless sweep drained by the in-process worker)"
 echo "distributed-smoke: all gates passed"
