@@ -1,7 +1,6 @@
 package ds
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -85,15 +84,42 @@ func (t *ABTree) newInternal(tid int, keys []int64, children []*abNode) *abNode 
 
 func (t *ABTree) retire(tid int, n *abNode) { t.rec.Retire(tid, n.obj) }
 
+// The searches are hand-written loops rather than sort.Search: its
+// predicate closure costs an indirect call per probe on the hottest path.
+
 // childIndex returns the child slot covering key: the first i with
-// key < keys[i], else len(keys).
+// key < keys[i], else len(keys). Internal nodes hold up to abInternalCap-1
+// keys, past the width where binary search beats a scan.
 func childIndex(n *abNode, key int64) int {
-	return sort.Search(len(n.keys), func(i int) bool { return key < n.keys[i] })
+	keys := n.keys
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if key < keys[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// lowerBound returns the first i with keys[i] >= key, else len(keys). It
+// searches leaves only, which hold at most abLeafCap keys and about half
+// that in steady state, where a linear scan beats binary search
+// (BenchmarkABTreeSearch).
+func lowerBound(keys []int64, key int64) int {
+	for i, k := range keys {
+		if k >= key {
+			return i
+		}
+	}
+	return len(keys)
 }
 
 // leafHas reports whether a leaf contains key.
 func leafHas(n *abNode, key int64) bool {
-	i := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
+	i := lowerBound(n.keys, key)
 	return i < len(n.keys) && n.keys[i] == key
 }
 
@@ -141,27 +167,53 @@ func (t *ABTree) Contains(tid int, key int64) bool {
 	return leafHas(leaf, key)
 }
 
+// abSlot names one child slot: the tree's root slot when p is nil, else
+// p.children[idx]. It is a value, not a pair of closures, so locking and
+// storing through it allocates nothing.
+type abSlot struct {
+	t   *ABTree
+	p   *abNode
+	idx int
+}
+
+// store publishes r in the slot. The slot's owner must be locked.
+func (s abSlot) store(r *abNode) {
+	if s.p == nil {
+		s.t.root.Store(r)
+		return
+	}
+	s.p.children[s.idx].Store(r)
+}
+
+// unlock releases the slot's owner (rootMu or the parent's mu).
+func (s abSlot) unlock() {
+	if s.p == nil {
+		s.t.rootMu.Unlock()
+		return
+	}
+	s.p.mu.Unlock()
+}
+
 // lockSlot locks the owner of the node at path depth (the parent's mu, or
 // rootMu for the root) and validates the slot still points at n. It returns
-// an unlock function, or false when validation fails and the caller must
-// retry.
-func (t *ABTree) lockSlot(path *[abMaxDepth]abPathEntry, depth int, n *abNode) (store func(*abNode), unlock func(), ok bool) {
+// the locked slot, or false when validation fails and the caller must retry.
+func (t *ABTree) lockSlot(path *[abMaxDepth]abPathEntry, depth int, n *abNode) (abSlot, bool) {
 	if depth == 0 {
 		t.rootMu.Lock()
 		if t.root.Load() != n {
 			t.rootMu.Unlock()
-			return nil, nil, false
+			return abSlot{}, false
 		}
-		return func(r *abNode) { t.root.Store(r) }, t.rootMu.Unlock, true
+		return abSlot{t: t}, true
 	}
 	p := path[depth-1].n
 	idx := path[depth-1].idx
 	p.mu.Lock()
 	if p.retired.Load() || p.children[idx].Load() != n {
 		p.mu.Unlock()
-		return nil, nil, false
+		return abSlot{}, false
 	}
-	return func(r *abNode) { p.children[idx].Store(r) }, p.mu.Unlock, true
+	return abSlot{t: t, p: p, idx: idx}, true
 }
 
 // Insert adds key, reporting whether it was absent.
@@ -183,12 +235,12 @@ func (t *ABTree) tryInsert(tid int, key int64) (inserted, done bool) {
 	}
 	if len(leaf.keys) < abLeafCap {
 		// Common case: replace the leaf with a copy containing key.
-		store, unlock, ok := t.lockSlot(&path, depth, leaf)
+		s, ok := t.lockSlot(&path, depth, leaf)
 		if !ok {
 			return false, false
 		}
-		store(t.newLeaf(tid, insertSorted(leaf.keys, key)))
-		unlock()
+		s.store(t.newLeaf(tid, insertSorted(leaf.keys, key)))
+		s.unlock()
 		t.retire(tid, leaf)
 		t.size.add(tid, 1)
 		return true, true
@@ -210,15 +262,14 @@ func (t *ABTree) splitLeaf(tid int, path *[abMaxDepth]abPathEntry, depth int, le
 	sep := newKeys[mid]
 
 	if depth == 0 {
-		t.rootMu.Lock()
-		if t.root.Load() != leaf {
-			t.rootMu.Unlock()
+		s, ok := t.lockSlot(path, 0, leaf)
+		if !ok {
 			return false
 		}
 		left := t.newLeaf(tid, newKeys[:mid:mid])
 		right := t.newLeaf(tid, newKeys[mid:])
-		t.root.Store(t.newInternal(tid, []int64{sep}, []*abNode{left, right}))
-		t.rootMu.Unlock()
+		s.store(t.newInternal(tid, []int64{sep}, []*abNode{left, right}))
+		s.unlock()
 		t.retire(tid, leaf)
 		return true
 	}
@@ -226,14 +277,13 @@ func (t *ABTree) splitLeaf(tid int, path *[abMaxDepth]abPathEntry, depth int, le
 	p := path[depth-1].n
 	idx := path[depth-1].idx
 	// Lock the parent's slot owner first (top-down), then the parent.
-	store, unlock, ok := t.lockSlot(path, depth-1, p)
+	up, ok := t.lockSlot(path, depth-1, p)
 	if !ok {
 		return false
 	}
-	p.mu.Lock()
-	if p.retired.Load() || p.children[idx].Load() != leaf {
-		p.mu.Unlock()
-		unlock()
+	s, ok := t.lockSlot(path, depth, leaf)
+	if !ok {
+		up.unlock()
 		return false
 	}
 
@@ -268,9 +318,9 @@ func (t *ABTree) splitLeaf(tid int, path *[abMaxDepth]abPathEntry, depth int, le
 		replacement = t.newInternal(tid, []int64{pk[m-1]}, []*abNode{lo, hi})
 	}
 	p.retired.Store(true)
-	store(replacement)
-	p.mu.Unlock()
-	unlock()
+	up.store(replacement)
+	s.unlock()
+	up.unlock()
 	t.retire(tid, leaf)
 	t.retire(tid, p)
 	return true
@@ -297,12 +347,12 @@ func (t *ABTree) tryDelete(tid int, key int64) (deleted, done bool) {
 
 	if len(newKeys) > 0 || depth == 0 {
 		// Replace the leaf (an empty root leaf is fine).
-		store, unlock, ok := t.lockSlot(&path, depth, leaf)
+		s, ok := t.lockSlot(&path, depth, leaf)
 		if !ok {
 			return false, false
 		}
-		store(t.newLeaf(tid, newKeys))
-		unlock()
+		s.store(t.newLeaf(tid, newKeys))
+		s.unlock()
 		t.retire(tid, leaf)
 		t.size.add(tid, -1)
 		return true, true
@@ -322,14 +372,13 @@ func (t *ABTree) tryDelete(tid int, key int64) (deleted, done bool) {
 func (t *ABTree) removeEmptyLeaf(tid int, path *[abMaxDepth]abPathEntry, depth int, leaf *abNode) bool {
 	p := path[depth-1].n
 	idx := path[depth-1].idx
-	store, unlock, ok := t.lockSlot(path, depth-1, p)
+	up, ok := t.lockSlot(path, depth-1, p)
 	if !ok {
 		return false
 	}
-	p.mu.Lock()
-	if p.retired.Load() || p.children[idx].Load() != leaf {
-		p.mu.Unlock()
-		unlock()
+	s, ok := t.lockSlot(path, depth, leaf)
+	if !ok {
+		up.unlock()
 		return false
 	}
 
@@ -355,9 +404,9 @@ func (t *ABTree) removeEmptyLeaf(tid int, path *[abMaxDepth]abPathEntry, depth i
 		replacement = t.newInternal(tid, pk, pc)
 	}
 	p.retired.Store(true)
-	store(replacement)
-	p.mu.Unlock()
-	unlock()
+	up.store(replacement)
+	s.unlock()
+	up.unlock()
 	t.retire(tid, leaf)
 	t.retire(tid, p)
 	return true
@@ -365,7 +414,7 @@ func (t *ABTree) removeEmptyLeaf(tid int, path *[abMaxDepth]abPathEntry, depth i
 
 // insertSorted returns a fresh sorted slice equal to keys plus key.
 func insertSorted(keys []int64, key int64) []int64 {
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
+	i := lowerBound(keys, key)
 	out := make([]int64, 0, len(keys)+1)
 	out = append(out, keys[:i]...)
 	out = append(out, key)
@@ -375,7 +424,7 @@ func insertSorted(keys []int64, key int64) []int64 {
 
 // removeSorted returns a fresh sorted slice equal to keys minus key.
 func removeSorted(keys []int64, key int64) []int64 {
-	i := sort.Search(len(keys), func(i int) bool { return keys[i] >= key })
+	i := lowerBound(keys, key)
 	out := make([]int64, 0, len(keys)-1)
 	out = append(out, keys[:i]...)
 	out = append(out, keys[i+1:]...)

@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -184,39 +185,48 @@ func TestConcurrentStress(t *testing.T) {
 
 // TestConcurrentMixedKeys has all threads hammer the same small key range
 // (maximum contention) and validates final contents against a single
-// post-hoc sequential scan.
+// post-hoc sequential scan. It runs one reclaimer of each protection style
+// (epoch, hazard pointer, neutralization). The abLeafCap+4 key range keeps
+// the abtree's root a leaf hovering near capacity, so root-leaf replacement
+// races the root split and the collapse back to a leaf, and slot
+// validation fails and retries often.
 func TestConcurrentMixedKeys(t *testing.T) {
 	const threads = 8
 	for _, dsName := range Names() {
-		dsName := dsName
 		t.Run(dsName, func(t *testing.T) {
-			set, _, _ := newTestSet(t, dsName, "debra", threads)
-			var wg sync.WaitGroup
-			for tid := 0; tid < threads; tid++ {
-				wg.Add(1)
-				go func(tid int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(100 + tid)))
-					for i := 0; i < 4000; i++ {
-						key := rng.Int63n(64)
-						if rng.Intn(2) == 0 {
-							set.Insert(tid, key)
-						} else {
-							set.Delete(tid, key)
+			for _, recName := range []string{"debra", "hp", "nbrplus"} {
+				for _, keyRange := range []int64{64, abLeafCap + 4} {
+					t.Run(fmt.Sprintf("%s/keys=%d", recName, keyRange), func(t *testing.T) {
+						set, _, _ := newTestSet(t, dsName, recName, threads)
+						var wg sync.WaitGroup
+						for tid := 0; tid < threads; tid++ {
+							wg.Add(1)
+							go func(tid int) {
+								defer wg.Done()
+								rng := rand.New(rand.NewSource(int64(100 + tid)))
+								for i := 0; i < 4000; i++ {
+									key := rng.Int63n(keyRange)
+									if rng.Intn(2) == 0 {
+										set.Insert(tid, key)
+									} else {
+										set.Delete(tid, key)
+									}
+								}
+							}(tid)
 						}
-					}
-				}(tid)
-			}
-			wg.Wait()
-			// Size must equal the number of keys Contains reports present.
-			var present int64
-			for k := int64(0); k < 64; k++ {
-				if set.Contains(0, k) {
-					present++
+						wg.Wait()
+						// Size must equal the number of keys Contains reports present.
+						var present int64
+						for k := int64(0); k < keyRange; k++ {
+							if set.Contains(0, k) {
+								present++
+							}
+						}
+						if got := set.Size(); got != present {
+							t.Fatalf("Size = %d but %d keys are present", got, present)
+						}
+					})
 				}
-			}
-			if got := set.Size(); got != present {
-				t.Fatalf("Size = %d but %d keys are present", got, present)
 			}
 		})
 	}

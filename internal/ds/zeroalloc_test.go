@@ -107,3 +107,36 @@ func assertReadPathZeroAllocs(t *testing.T, set Set, keyRange int64) {
 		t.Fatalf("steady-state read path allocates %.2f objects/op", avg)
 	}
 }
+
+// TestSteadyStateUpdatePathAllocs pins the abtree update path's Go heap
+// budget: each leaf replacement allocates the new node and its exact-size
+// key slice, and nothing else. An Insert+Delete pair of one odd key into a
+// prefilled tree replaces one leaf twice with no split or collapse, so it
+// costs exactly 4 allocations. Anything else that escapes on the path, such
+// as a closure or a boxed interface, shows up here as a fifth.
+func TestSteadyStateUpdatePathAllocs(t *testing.T) {
+	const keyRange = 1 << 10
+	for _, recName := range zeroAllocFamilies() {
+		t.Run("abtree/"+recName, func(t *testing.T) {
+			set, _ := buildSet(t, "abtree", recName)
+			for k := int64(0); k < keyRange; k += 2 {
+				set.Insert(0, k)
+			}
+			const key = keyRange/2 + 1
+			pair := func() {
+				if !set.Insert(0, key) || !set.Delete(0, key) {
+					t.Fatalf("Insert+Delete of absent key %d did not both succeed", key)
+				}
+			}
+			// Warm up past a full reclamation cycle: until the first
+			// hazard scan (BatchSize retires, two per pair) frees nodes
+			// back to the allocator, every Alloc carves fresh Objects.
+			for i := 0; i < 4096; i++ {
+				pair()
+			}
+			if avg := testing.AllocsPerRun(200, pair); avg != 4 {
+				t.Fatalf("steady-state Insert+Delete allocates %.2f objects, want 4 (node + keys per leaf replacement)", avg)
+			}
+		})
+	}
+}
