@@ -41,12 +41,14 @@ func TestArrivalPreservesModeledStats(t *testing.T) {
 // TestArrivalRecordsLatency checks the wall-clock path end to end: a
 // Poisson trial reports ordered, non-zero latency quantiles and a
 // throughput near the configured arrival rate (open systems are
-// rate-limited, not machine-limited).
+// rate-limited, not machine-limited). The offered rate sits well below what
+// a race-detector build sustains while the rest of the suite runs in
+// parallel, so the trial stays rate-limited there too.
 func TestArrivalRecordsLatency(t *testing.T) {
 	cfg := DefaultWorkload(2)
 	cfg.KeyRange = 1 << 10
 	cfg.Duration = 120 * time.Millisecond
-	cfg.Arrival = "poisson:100000"
+	cfg.Arrival = "poisson:25000"
 	res, err := RunTrial(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -58,10 +60,10 @@ func TestArrivalRecordsLatency(t *testing.T) {
 		t.Fatalf("quantiles out of order: p50=%d p99=%d p999=%d max=%d",
 			res.LatP50Ns, res.LatP99Ns, res.LatP999Ns, res.LatMaxNs)
 	}
-	// 2 workers × 100k/s: delivered throughput tracks the offered rate
+	// 2 workers × 25k/s: delivered throughput tracks the offered rate
 	// (generous band — CI machines stutter).
-	if res.OpsPerSec < 100000 || res.OpsPerSec > 300000 {
-		t.Fatalf("open-system throughput %.0f/s, want ≈200k/s (rate-limited)", res.OpsPerSec)
+	if res.OpsPerSec < 25000 || res.OpsPerSec > 75000 {
+		t.Fatalf("open-system throughput %.0f/s, want ≈50k/s (rate-limited)", res.OpsPerSec)
 	}
 }
 

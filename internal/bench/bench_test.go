@@ -120,9 +120,12 @@ func TestRecorderPlumbing(t *testing.T) {
 
 func TestWorkloadMaintainsSteadyState(t *testing.T) {
 	// The 50/50 workload must perform genuine successful updates: the
-	// allocator should see allocation traffic well beyond the prefill.
+	// allocator should see allocation traffic well beyond the prefill. A
+	// FixedOps trial makes the op count independent of host speed, which a
+	// wall-clock window under the race detector is not.
 	cfg := tinyWorkload(4)
 	cfg.Reclaimer = "none"
+	cfg.FixedOps = 2000
 	tr, err := RunTrial(cfg)
 	if err != nil {
 		t.Fatal(err)

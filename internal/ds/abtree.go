@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -17,24 +18,47 @@ const (
 	abInternalCap = 64
 )
 
-// abNode is one ABtree node. Leaves are immutable after construction and
-// replaced copy-on-write; internal nodes have immutable key arrays but
-// mutable (atomic) child slots, guarded by mu. A node's slot in its parent
-// is guarded by the parent's mu (or the tree's rootMu for the root).
+// A leaf's vn word packs a seqlock version (high 32 bits, odd while an
+// in-place edit is in flight) with the leaf's key count (low 32 bits), so
+// one load yields a count that matches the keys read under it.
+const (
+	abVersionOne = 1 << 32
+	abCountMask  = abVersionOne - 1
+)
+
+// abNode is one ABtree node. A leaf (in == nil) holds its sorted keys
+// inline in lk[:count] and is edited in place under a seqlock: writers hold
+// the leaf's slot owner and bracket each edit with an odd vn, and readers
+// retry until they scan the keys under one even vn. An edit still swaps in a
+// freshly allocated Object and retires the old one, so the modeled
+// allocator and reclaimer see the copy-on-write lifecycle of the paper's
+// tree. Internal nodes keep their state in in and are replaced
+// copy-on-write. A node's slot in its parent is guarded by the parent's
+// in.mu (or the tree's rootMu for the root).
 type abNode struct {
-	obj      *simalloc.Object
-	leaf     bool
+	obj atomic.Pointer[simalloc.Object]
+	in  *abInner
+	vn  atomic.Uint64
+	lk  [abLeafCap]int64
+}
+
+// abInner is the part of a node only internal nodes have: immutable keys
+// and mutable (atomic) child slots, guarded by mu along with retirement.
+type abInner struct {
 	keys     []int64
-	children []atomic.Pointer[abNode] // internal: len(keys)+1 slots
-	mu       sync.Mutex               // internal nodes: guards child slots and retirement
+	children []atomic.Pointer[abNode] // len(keys)+1 slots
+	mu       sync.Mutex
 	retired  atomic.Bool
 }
 
 // ABTree is a concurrent (a,b)-tree in the style of Brown's lock-free
-// ABtree: leaf-oriented, copy-on-write leaves, relaxed rebalancing
-// (overfull internal nodes are split locally, single-child internal nodes
-// collapse). Lookups are lock-free over atomic child pointers; updates lock
-// at most two ancestor levels top-down.
+// ABtree: leaf-oriented, relaxed rebalancing (overfull internal nodes are
+// split locally, single-child internal nodes collapse). Lookups are
+// lock-free over atomic child pointers and seqlocked leaves; updates lock at
+// most two ancestor levels top-down. A successful update that neither
+// splits nor empties its leaf edits the leaf in place and allocates no Go
+// memory; splits and empty-leaf removals build new nodes and copy the
+// parent.
 type ABTree struct {
 	alloc  simalloc.Allocator
 	rec    smr.Reclaimer
@@ -57,41 +81,40 @@ func (t *ABTree) Name() string { return "abtree" }
 // Size returns the number of keys.
 func (t *ABTree) Size() int64 { return t.size.total() }
 
-func (t *ABTree) newNode(tid int) *abNode {
+// newObj allocates the simulated memory behind one node.
+func (t *ABTree) newObj(tid int) *simalloc.Object {
 	obj := t.alloc.Alloc(tid, ABTreeNodeBytes)
 	t.rec.OnAlloc(tid, obj)
-	return &abNode{obj: obj}
+	return obj
 }
 
+// newLeaf builds an unpublished leaf holding a copy of keys.
 func (t *ABTree) newLeaf(tid int, keys []int64) *abNode {
-	n := t.newNode(tid)
-	n.leaf = true
-	n.keys = keys
+	n := &abNode{}
+	n.obj.Store(t.newObj(tid))
+	n.vn.Store(uint64(copy(n.lk[:], keys)))
 	return n
 }
 
 // newInternal builds an internal node from keys and children. children must
 // have len(keys)+1 entries.
 func (t *ABTree) newInternal(tid int, keys []int64, children []*abNode) *abNode {
-	n := t.newNode(tid)
-	n.keys = keys
-	n.children = make([]atomic.Pointer[abNode], len(children))
+	n := &abNode{in: &abInner{keys: keys, children: make([]atomic.Pointer[abNode], len(children))}}
+	n.obj.Store(t.newObj(tid))
 	for i, c := range children {
-		n.children[i].Store(c)
+		n.in.children[i].Store(c)
 	}
 	return n
 }
 
-func (t *ABTree) retire(tid int, n *abNode) { t.rec.Retire(tid, n.obj) }
-
-// The searches are hand-written loops rather than sort.Search: its
-// predicate closure costs an indirect call per probe on the hottest path.
+func (t *ABTree) retire(tid int, n *abNode) { t.rec.Retire(tid, n.obj.Load()) }
 
 // childIndex returns the child slot covering key: the first i with
 // key < keys[i], else len(keys). Internal nodes hold up to abInternalCap-1
-// keys, past the width where binary search beats a scan.
-func childIndex(n *abNode, key int64) int {
-	keys := n.keys
+// keys, past the width where binary search beats a scan. It is a
+// hand-written loop rather than sort.Search, whose predicate closure costs
+// an indirect call per probe on the hottest path.
+func childIndex(keys []int64, key int64) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -104,23 +127,69 @@ func childIndex(n *abNode, key int64) int {
 	return lo
 }
 
-// lowerBound returns the first i with keys[i] >= key, else len(keys). It
-// searches leaves only, which hold at most abLeafCap keys and about half
-// that in steady state, where a linear scan beats binary search
-// (BenchmarkABTreeSearch).
-func lowerBound(keys []int64, key int64) int {
-	for i, k := range keys {
-		if k >= key {
-			return i
+// leafRead scans leaf n for key under its seqlock. It returns the first i
+// with lk[i] >= key (else the count), whether lk[i] is key, and the vn word
+// the scan was consistent with; the count is v&abCountMask. The scan is
+// linear: a leaf holds at most abLeafCap keys and about half that in steady
+// state, where a scan beats binary search (BenchmarkABTreeSearch). A read
+// that overlaps an edit yields and retries.
+func leafRead(n *abNode, key int64) (i int, found bool, v uint64) {
+	for {
+		v := n.vn.Load()
+		if v&abVersionOne == 0 {
+			cnt := int(v & abCountMask)
+			i, found := cnt, false
+			for j := 0; j < cnt; j++ {
+				if k := atomic.LoadInt64(&n.lk[j]); k >= key {
+					i, found = j, k == key
+					break
+				}
+			}
+			if n.vn.Load() == v {
+				return i, found, v
+			}
 		}
+		runtime.Gosched()
 	}
-	return len(keys)
 }
 
-// leafHas reports whether a leaf contains key.
-func leafHas(n *abNode, key int64) bool {
-	i := lowerBound(n.keys, key)
-	return i < len(n.keys) && n.keys[i] == key
+// insertAt shifts lk[i:cnt] up one slot and stores key at i. The caller
+// holds the leaf's slot owner, so plain reads see the latest keys; the
+// stores are atomic because leafRead scans concurrently.
+func (n *abNode) insertAt(i, cnt int, key int64) {
+	for j := cnt; j > i; j-- {
+		atomic.StoreInt64(&n.lk[j], n.lk[j-1])
+	}
+	atomic.StoreInt64(&n.lk[i], key)
+}
+
+// removeAt shifts lk[i+1:cnt] down one slot, dropping the key at i. The
+// locking is insertAt's.
+func (n *abNode) removeAt(i, cnt int) {
+	for j := i + 1; j < cnt; j++ {
+		atomic.StoreInt64(&n.lk[j-1], n.lk[j])
+	}
+}
+
+// editLeaf inserts key at i (insert) or removes the key at i (!insert) in
+// place. The caller holds the leaf's slot through lockLeaf with version v.
+// The model sees a copy-on-write replacement: the new Object is allocated
+// before the edit and swapped in inside the odd window, and the old one is
+// returned for the caller to retire once it has unlocked.
+func (t *ABTree) editLeaf(tid int, n *abNode, v uint64, i int, key int64, insert bool) (old *simalloc.Object) {
+	obj := t.newObj(tid)
+	cnt := int(v & abCountMask)
+	n.vn.Store(v + abVersionOne)
+	if insert {
+		n.insertAt(i, cnt, key)
+		cnt++
+	} else {
+		n.removeAt(i, cnt)
+		cnt--
+	}
+	old = n.obj.Swap(obj)
+	n.vn.Store((v+2*abVersionOne)&^abCountMask | uint64(cnt))
+	return old
 }
 
 type abPathEntry struct {
@@ -128,7 +197,33 @@ type abPathEntry struct {
 	idx int
 }
 
+// abMaxDepth is how many path entries a descent keeps on the stack. Every
+// tree the workloads build is far shallower; a deeper one (long ascending or
+// descending insert runs deepen one edge by a level every few hundred keys)
+// spills the rest of its path to the heap.
 const abMaxDepth = 48
+
+// abPath records a descent: each internal node visited and the child slot
+// taken from it, indexed by depth. A path is filled once, root first.
+type abPath struct {
+	near [abMaxDepth]abPathEntry
+	far  []abPathEntry
+}
+
+func (p *abPath) push(depth int, e abPathEntry) {
+	if depth < abMaxDepth {
+		p.near[depth] = e
+		return
+	}
+	p.far = append(p.far, e)
+}
+
+func (p *abPath) at(depth int) abPathEntry {
+	if depth < abMaxDepth {
+		return p.near[depth]
+	}
+	return p.far[depth-abMaxDepth]
+}
 
 // descend walks from the root to the leaf covering key, recording the path
 // and publishing protection for each visited node. Protection routes through
@@ -136,23 +231,23 @@ const abMaxDepth = 48
 // see through), skips publication entirely for epoch-based reclaimers
 // (nil guard, nil legacy), and falls back to the Reclaimer interface only
 // under smr.LegacyDispatch.
-func (t *ABTree) descend(tid int, key int64, path *[abMaxDepth]abPathEntry) (leaf *abNode, depth int) {
+func (t *ABTree) descend(tid int, key int64, path *abPath) (leaf *abNode, depth int) {
 	g, legacy := t.disp.handles(tid)
 	cur := t.root.Load()
 	if g != nil {
-		g.Protect(0, cur.obj)
+		g.Protect(0, cur.obj.Load())
 	} else if legacy != nil {
-		legacy.Protect(tid, 0, cur.obj)
+		legacy.Protect(tid, 0, cur.obj.Load())
 	}
-	for !cur.leaf {
-		idx := childIndex(cur, key)
-		path[depth] = abPathEntry{cur, idx}
+	for cur.in != nil {
+		idx := childIndex(cur.in.keys, key)
+		path.push(depth, abPathEntry{cur, idx})
 		depth++
-		cur = cur.children[idx].Load()
+		cur = cur.in.children[idx].Load()
 		if g != nil {
-			g.Protect(depth%3, cur.obj)
+			g.Protect(depth%3, cur.obj.Load())
 		} else if legacy != nil {
-			legacy.Protect(tid, depth%3, cur.obj)
+			legacy.Protect(tid, depth%3, cur.obj.Load())
 		}
 	}
 	return cur, depth
@@ -162,9 +257,10 @@ func (t *ABTree) descend(tid int, key int64, path *[abMaxDepth]abPathEntry) (lea
 func (t *ABTree) Contains(tid int, key int64) bool {
 	t.rec.BeginOp(tid)
 	defer t.rec.EndOp(tid)
-	var path [abMaxDepth]abPathEntry
+	var path abPath
 	leaf, _ := t.descend(tid, key, &path)
-	return leafHas(leaf, key)
+	_, found, _ := leafRead(leaf, key)
+	return found
 }
 
 // abSlot names one child slot: the tree's root slot when p is nil, else
@@ -172,7 +268,7 @@ func (t *ABTree) Contains(tid int, key int64) bool {
 // storing through it allocates nothing.
 type abSlot struct {
 	t   *ABTree
-	p   *abNode
+	p   *abInner
 	idx int
 }
 
@@ -197,7 +293,7 @@ func (s abSlot) unlock() {
 // lockSlot locks the owner of the node at path depth (the parent's mu, or
 // rootMu for the root) and validates the slot still points at n. It returns
 // the locked slot, or false when validation fails and the caller must retry.
-func (t *ABTree) lockSlot(path *[abMaxDepth]abPathEntry, depth int, n *abNode) (abSlot, bool) {
+func (t *ABTree) lockSlot(path *abPath, depth int, n *abNode) (abSlot, bool) {
 	if depth == 0 {
 		t.rootMu.Lock()
 		if t.root.Load() != n {
@@ -206,14 +302,28 @@ func (t *ABTree) lockSlot(path *[abMaxDepth]abPathEntry, depth int, n *abNode) (
 		}
 		return abSlot{t: t}, true
 	}
-	p := path[depth-1].n
-	idx := path[depth-1].idx
+	e := path.at(depth - 1)
+	p := e.n.in
 	p.mu.Lock()
-	if p.retired.Load() || p.children[idx].Load() != n {
+	if p.retired.Load() || p.children[e.idx].Load() != n {
 		p.mu.Unlock()
 		return abSlot{}, false
 	}
-	return abSlot{t: t, p: p, idx: idx}, true
+	return abSlot{t: t, p: p, idx: e.idx}, true
+}
+
+// lockLeaf locks leaf's slot like lockSlot and also validates that the leaf
+// still holds vn word v, the one its leafRead returned. An in-place edit
+// keeps the leaf's identity, so the version stands in for the pointer check
+// copy-on-write gave. Every leaf writer holds the slot owner, so the leaf's
+// keys stay as read until unlock.
+func (t *ABTree) lockLeaf(path *abPath, depth int, leaf *abNode, v uint64) (abSlot, bool) {
+	s, ok := t.lockSlot(path, depth, leaf)
+	if ok && leaf.vn.Load() != v {
+		s.unlock()
+		return abSlot{}, false
+	}
+	return s, ok
 }
 
 // Insert adds key, reporting whether it was absent.
@@ -228,68 +338,72 @@ func (t *ABTree) Insert(tid int, key int64) bool {
 }
 
 func (t *ABTree) tryInsert(tid int, key int64) (inserted, done bool) {
-	var path [abMaxDepth]abPathEntry
+	var path abPath
 	leaf, depth := t.descend(tid, key, &path)
-	if leafHas(leaf, key) {
+	i, found, v := leafRead(leaf, key)
+	if found {
 		return false, true
 	}
-	if len(leaf.keys) < abLeafCap {
-		// Common case: replace the leaf with a copy containing key.
-		s, ok := t.lockSlot(&path, depth, leaf)
+	if v&abCountMask < abLeafCap {
+		// Common case: insert key into the leaf in place.
+		s, ok := t.lockLeaf(&path, depth, leaf, v)
 		if !ok {
 			return false, false
 		}
-		s.store(t.newLeaf(tid, insertSorted(leaf.keys, key)))
+		old := t.editLeaf(tid, leaf, v, i, key, true)
 		s.unlock()
-		t.retire(tid, leaf)
+		t.rec.Retire(tid, old)
 		t.size.add(tid, 1)
 		return true, true
 	}
-	if !t.splitLeaf(tid, &path, depth, leaf, key) {
+	if !t.splitLeaf(tid, &path, depth, leaf, v, i, key) {
 		return false, false
 	}
 	t.size.add(tid, 1)
 	return true, true
 }
 
-// splitLeaf replaces a full leaf with two halves. For a root leaf the two
-// halves hang off a new internal root; otherwise the parent is replaced
+// splitLeaf replaces a full leaf, read at version v, with two halves that
+// together hold its keys plus key (which belongs at i). For a root leaf the
+// two halves hang off a new internal root; otherwise the parent is replaced
 // copy-on-write with the extra child (collapsing into a local two-child
 // split when the parent itself would overflow).
-func (t *ABTree) splitLeaf(tid int, path *[abMaxDepth]abPathEntry, depth int, leaf *abNode, key int64) bool {
-	newKeys := insertSorted(leaf.keys, key)
-	mid := len(newKeys) / 2
-	sep := newKeys[mid]
-
-	if depth == 0 {
-		s, ok := t.lockSlot(path, 0, leaf)
-		if !ok {
+func (t *ABTree) splitLeaf(tid int, path *abPath, depth int, leaf *abNode, v uint64, i int, key int64) bool {
+	var up abSlot
+	if depth > 0 {
+		// Lock the parent's slot owner first (top-down), then the parent.
+		var ok bool
+		if up, ok = t.lockSlot(path, depth-1, path.at(depth-1).n); !ok {
 			return false
 		}
-		left := t.newLeaf(tid, newKeys[:mid:mid])
-		right := t.newLeaf(tid, newKeys[mid:])
+	}
+	s, ok := t.lockLeaf(path, depth, leaf, v)
+	if !ok {
+		if depth > 0 {
+			up.unlock()
+		}
+		return false
+	}
+
+	// The leaf is full and stable while its slot is locked.
+	var all [abLeafCap + 1]int64
+	copy(all[:i], leaf.lk[:i])
+	all[i] = key
+	copy(all[i+1:], leaf.lk[i:])
+	const mid = (abLeafCap + 1) / 2
+	sep := all[mid]
+	left := t.newLeaf(tid, all[:mid])
+	right := t.newLeaf(tid, all[mid:])
+
+	if depth == 0 {
 		s.store(t.newInternal(tid, []int64{sep}, []*abNode{left, right}))
 		s.unlock()
 		t.retire(tid, leaf)
 		return true
 	}
 
-	p := path[depth-1].n
-	idx := path[depth-1].idx
-	// Lock the parent's slot owner first (top-down), then the parent.
-	up, ok := t.lockSlot(path, depth-1, p)
-	if !ok {
-		return false
-	}
-	s, ok := t.lockSlot(path, depth, leaf)
-	if !ok {
-		up.unlock()
-		return false
-	}
-
-	left := t.newLeaf(tid, newKeys[:mid:mid])
-	right := t.newLeaf(tid, newKeys[mid:])
-
+	e := path.at(depth - 1)
+	p, idx := e.n.in, e.idx
 	// Copy-on-write parent with the split child. Child slots are stable
 	// while p.mu is held.
 	pk := make([]int64, 0, len(p.keys)+1)
@@ -297,12 +411,12 @@ func (t *ABTree) splitLeaf(tid int, path *[abMaxDepth]abPathEntry, depth int, le
 	pk = append(pk, sep)
 	pk = append(pk, p.keys[idx:]...)
 	pc := make([]*abNode, 0, len(p.children)+1)
-	for i := range p.children {
-		if i == idx {
+	for j := range p.children {
+		if j == idx {
 			pc = append(pc, left, right)
 			continue
 		}
-		pc = append(pc, p.children[i].Load())
+		pc = append(pc, p.children[j].Load())
 	}
 
 	var replacement *abNode
@@ -322,7 +436,7 @@ func (t *ABTree) splitLeaf(tid int, path *[abMaxDepth]abPathEntry, depth int, le
 	s.unlock()
 	up.unlock()
 	t.retire(tid, leaf)
-	t.retire(tid, p)
+	t.retire(tid, e.n)
 	return true
 }
 
@@ -338,45 +452,45 @@ func (t *ABTree) Delete(tid int, key int64) bool {
 }
 
 func (t *ABTree) tryDelete(tid int, key int64) (deleted, done bool) {
-	var path [abMaxDepth]abPathEntry
+	var path abPath
 	leaf, depth := t.descend(tid, key, &path)
-	if !leafHas(leaf, key) {
+	i, found, v := leafRead(leaf, key)
+	if !found {
 		return false, true
 	}
-	newKeys := removeSorted(leaf.keys, key)
 
-	if len(newKeys) > 0 || depth == 0 {
-		// Replace the leaf (an empty root leaf is fine).
-		s, ok := t.lockSlot(&path, depth, leaf)
+	if v&abCountMask > 1 || depth == 0 {
+		// Remove key from the leaf in place (an empty root leaf is fine).
+		s, ok := t.lockLeaf(&path, depth, leaf, v)
 		if !ok {
 			return false, false
 		}
-		s.store(t.newLeaf(tid, newKeys))
+		old := t.editLeaf(tid, leaf, v, i, key, false)
 		s.unlock()
-		t.retire(tid, leaf)
+		t.rec.Retire(tid, old)
 		t.size.add(tid, -1)
 		return true, true
 	}
 
 	// The leaf empties: remove it from its parent.
-	if !t.removeEmptyLeaf(tid, &path, depth, leaf) {
+	if !t.removeEmptyLeaf(tid, &path, depth, leaf, v) {
 		return false, false
 	}
 	t.size.add(tid, -1)
 	return true, true
 }
 
-// removeEmptyLeaf replaces the parent copy-on-write without the emptied
-// child. A parent reduced to a single child collapses: the surviving child
-// takes the parent's slot directly.
-func (t *ABTree) removeEmptyLeaf(tid int, path *[abMaxDepth]abPathEntry, depth int, leaf *abNode) bool {
-	p := path[depth-1].n
-	idx := path[depth-1].idx
-	up, ok := t.lockSlot(path, depth-1, p)
+// removeEmptyLeaf replaces the parent copy-on-write without leaf, whose one
+// key (read at version v) is being deleted. A parent reduced to a single
+// child collapses: the surviving child takes the parent's slot directly.
+func (t *ABTree) removeEmptyLeaf(tid int, path *abPath, depth int, leaf *abNode, v uint64) bool {
+	e := path.at(depth - 1)
+	p, idx := e.n.in, e.idx
+	up, ok := t.lockSlot(path, depth-1, e.n)
 	if !ok {
 		return false
 	}
-	s, ok := t.lockSlot(path, depth, leaf)
+	s, ok := t.lockLeaf(path, depth, leaf, v)
 	if !ok {
 		up.unlock()
 		return false
@@ -395,11 +509,11 @@ func (t *ABTree) removeEmptyLeaf(tid int, path *[abMaxDepth]abPathEntry, depth i
 		pk = append(pk, p.keys[:ki]...)
 		pk = append(pk, p.keys[ki+1:]...)
 		pc := make([]*abNode, 0, len(p.children)-1)
-		for i := range p.children {
-			if i == idx {
+		for j := range p.children {
+			if j == idx {
 				continue
 			}
-			pc = append(pc, p.children[i].Load())
+			pc = append(pc, p.children[j].Load())
 		}
 		replacement = t.newInternal(tid, pk, pc)
 	}
@@ -408,25 +522,6 @@ func (t *ABTree) removeEmptyLeaf(tid int, path *[abMaxDepth]abPathEntry, depth i
 	s.unlock()
 	up.unlock()
 	t.retire(tid, leaf)
-	t.retire(tid, p)
+	t.retire(tid, e.n)
 	return true
-}
-
-// insertSorted returns a fresh sorted slice equal to keys plus key.
-func insertSorted(keys []int64, key int64) []int64 {
-	i := lowerBound(keys, key)
-	out := make([]int64, 0, len(keys)+1)
-	out = append(out, keys[:i]...)
-	out = append(out, key)
-	out = append(out, keys[i:]...)
-	return out
-}
-
-// removeSorted returns a fresh sorted slice equal to keys minus key.
-func removeSorted(keys []int64, key int64) []int64 {
-	i := lowerBound(keys, key)
-	out := make([]int64, 0, len(keys)-1)
-	out = append(out, keys[:i]...)
-	out = append(out, keys[i+1:]...)
-	return out
 }

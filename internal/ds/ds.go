@@ -8,7 +8,10 @@
 // (package simalloc) and retire unlinked nodes through a reclaimer
 // (package smr); Go's garbage collector provides memory safety, so the
 // reclaimer's job here is to reproduce the retire→grace-period→free
-// lifecycle whose cost the paper studies.
+// lifecycle whose cost the paper studies. The ABtree edits a leaf in place
+// under a per-leaf seqlock yet still allocates a new simulated Object for
+// each edit and retires the old one, so the model sees the copy-on-write
+// lifecycle while the host allocates no Go memory per leaf update.
 package ds
 
 import (

@@ -225,6 +225,9 @@ func TestConcurrentMixedKeys(t *testing.T) {
 						if got := set.Size(); got != present {
 							t.Fatalf("Size = %d but %d keys are present", got, present)
 						}
+						if dsName == "abtree" {
+							checkABTree(t, set)
+						}
 					})
 				}
 			}
@@ -250,6 +253,9 @@ func TestABTreeSplitAndCollapse(t *testing.T) {
 			t.Fatalf("key %d missing after splits", k)
 		}
 	}
+	if depth := checkABTree(t, set); depth == 0 {
+		t.Fatal("no internal level after splits")
+	}
 	// Delete everything to force empty-leaf removals and collapses.
 	for k := int64(0); k < n; k++ {
 		if !set.Delete(0, k) {
@@ -259,6 +265,7 @@ func TestABTreeSplitAndCollapse(t *testing.T) {
 	if set.Size() != 0 {
 		t.Fatalf("Size = %d after deleting all", set.Size())
 	}
+	checkABTree(t, set)
 	for k := int64(0); k < n; k++ {
 		if set.Contains(0, k) {
 			t.Fatalf("key %d still present", k)
@@ -413,27 +420,6 @@ func TestSizeCtr(t *testing.T) {
 	wg.Wait()
 	if got := c.total(); got != 4*600 {
 		t.Fatalf("total = %d, want 2400", got)
-	}
-}
-
-// TestInsertRemoveSortedHelpers covers the ABtree key-array helpers.
-func TestInsertRemoveSortedHelpers(t *testing.T) {
-	keys := []int64{10, 20, 30}
-	got := insertSorted(keys, 25)
-	want := []int64{10, 20, 25, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("insertSorted = %v", got)
-		}
-	}
-	got = removeSorted(got, 25)
-	for i := range keys {
-		if got[i] != keys[i] {
-			t.Fatalf("removeSorted = %v", got)
-		}
-	}
-	if len(insertSorted(nil, 5)) != 1 {
-		t.Fatal("insertSorted(nil) wrong")
 	}
 }
 

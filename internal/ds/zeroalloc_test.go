@@ -109,11 +109,11 @@ func assertReadPathZeroAllocs(t *testing.T, set Set, keyRange int64) {
 }
 
 // TestSteadyStateUpdatePathAllocs pins the abtree update path's Go heap
-// budget: each leaf replacement allocates the new node and its exact-size
-// key slice, and nothing else. An Insert+Delete pair of one odd key into a
-// prefilled tree replaces one leaf twice with no split or collapse, so it
-// costs exactly 4 allocations. Anything else that escapes on the path, such
-// as a closure or a boxed interface, shows up here as a fifth.
+// budget: a successful update that neither splits nor empties its leaf
+// edits the leaf in place and allocates nothing. An Insert+Delete pair of
+// one odd key into a prefilled tree is two such edits, so it costs exactly 0
+// allocations; anything that escapes on the path, such as a closure, a
+// boxed interface or a spilled descent path, shows up here.
 func TestSteadyStateUpdatePathAllocs(t *testing.T) {
 	const keyRange = 1 << 10
 	for _, recName := range zeroAllocFamilies() {
@@ -134,8 +134,8 @@ func TestSteadyStateUpdatePathAllocs(t *testing.T) {
 			for i := 0; i < 4096; i++ {
 				pair()
 			}
-			if avg := testing.AllocsPerRun(200, pair); avg != 4 {
-				t.Fatalf("steady-state Insert+Delete allocates %.2f objects, want 4 (node + keys per leaf replacement)", avg)
+			if avg := testing.AllocsPerRun(200, pair); avg != 0 {
+				t.Fatalf("steady-state Insert+Delete allocates %.2f objects, want 0 (both edits are in place)", avg)
 			}
 		})
 	}
