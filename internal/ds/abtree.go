@@ -52,13 +52,16 @@ type abInner struct {
 }
 
 // ABTree is a concurrent (a,b)-tree in the style of Brown's lock-free
-// ABtree: leaf-oriented, relaxed rebalancing (overfull internal nodes are
-// split locally, single-child internal nodes collapse). Lookups are
-// lock-free over atomic child pointers and seqlocked leaves; updates lock at
-// most two ancestor levels top-down. A successful update that neither
-// splits nor empties its leaf edits the leaf in place and allocates no Go
-// memory; splits and empty-leaf removals build new nodes and copy the
-// parent.
+// ABtree: leaf-oriented, with relaxed rebalancing. An internal node that
+// would overflow splits into two halves under a two-child spine in its own
+// slot, and the spine is then absorbed into its parent, so the tree grows
+// only at the root and stays logarithmic; a parent reduced to two children
+// by an empty-leaf removal is absorbed the same way, and a single-child one
+// collapses. Lookups are lock-free over atomic child pointers and seqlocked
+// leaves; updates lock at most three levels top-down. A successful update
+// that neither splits nor empties its leaf edits the leaf in place and
+// allocates no Go memory; splits, absorbs and empty-leaf removals build new
+// nodes and copy the parent.
 type ABTree struct {
 	alloc  simalloc.Allocator
 	rec    smr.Reclaimer
@@ -96,15 +99,80 @@ func (t *ABTree) newLeaf(tid int, keys []int64) *abNode {
 	return n
 }
 
-// newInternal builds an internal node from keys and children. children must
-// have len(keys)+1 entries.
-func (t *ABTree) newInternal(tid int, keys []int64, children []*abNode) *abNode {
-	n := &abNode{in: &abInner{keys: keys, children: make([]atomic.Pointer[abNode], len(children))}}
+// newInternal builds an unpublished internal node over keys with
+// len(keys)+1 empty child slots, which the caller fills before publishing
+// it.
+func (t *ABTree) newInternal(tid int, keys []int64) *abNode {
+	n := &abNode{in: &abInner{keys: keys, children: make([]atomic.Pointer[abNode], len(keys)+1)}}
 	n.obj.Store(t.newObj(tid))
-	for i, c := range children {
-		n.in.children[i].Store(c)
+	return n
+}
+
+// newPair builds an unpublished two-child internal node: a and b split by
+// the one key in sep.
+func (t *ABTree) newPair(tid int, sep []int64, a, b *abNode) *abNode {
+	n := t.newInternal(tid, sep)
+	n.in.children[0].Store(a)
+	n.in.children[1].Store(b)
+	return n
+}
+
+// abSplice is internal node p's child sequence with slot idx replaced by
+// the pair (a, b), or dropped when a is nil. A replacement node fills its
+// child slots from it directly, with no temporary slice. p.mu must be held
+// while it is read.
+type abSplice struct {
+	p    *abInner
+	idx  int
+	a, b *abNode
+}
+
+func (s abSplice) at(j int) *abNode {
+	switch {
+	case j < s.idx:
+		return s.p.children[j].Load()
+	case s.a == nil:
+		return s.p.children[j+1].Load()
+	case j == s.idx:
+		return s.a
+	case j == s.idx+1:
+		return s.b
+	}
+	return s.p.children[j-1].Load()
+}
+
+// rebuild builds the copy-on-write replacement of an internal node: keys
+// over the child sequence kids. When that would exceed abInternalCap
+// children it builds two halves under a two-child spine instead and
+// reports spine, and the caller must absorb the spine once it is
+// published.
+func (t *ABTree) rebuild(tid int, keys []int64, kids abSplice) (r *abNode, spine bool) {
+	if len(keys) < abInternalCap {
+		return t.fill(tid, keys, kids, 0), false
+	}
+	m := (len(keys) + 1) / 2
+	lo := t.fill(tid, keys[:m-1:m-1], kids, 0)
+	hi := t.fill(tid, keys[m:], kids, m)
+	return t.newPair(tid, keys[m-1:m:m], lo, hi), true
+}
+
+// fill builds an internal node over keys whose children are kids from
+// index from on.
+func (t *ABTree) fill(tid int, keys []int64, kids abSplice, from int) *abNode {
+	n := t.newInternal(tid, keys)
+	for j := range n.in.children {
+		n.in.children[j].Store(kids.at(from + j))
 	}
 	return n
+}
+
+// withKey returns a copy of keys with k inserted at i.
+func withKey(keys []int64, i int, k int64) []int64 {
+	out := make([]int64, len(keys)+1)
+	copy(out, keys[:i])
+	out[i] = k
+	copy(out[i+1:], keys[i:])
+	return out
 }
 
 func (t *ABTree) retire(tid int, n *abNode) { t.rec.Retire(tid, n.obj.Load()) }
@@ -197,14 +265,14 @@ type abPathEntry struct {
 	idx int
 }
 
-// abMaxDepth is how many path entries a descent keeps on the stack. Every
-// tree the workloads build is far shallower; a deeper one (long ascending or
-// descending insert runs deepen one edge by a level every few hundred keys)
-// spills the rest of its path to the heap.
-const abMaxDepth = 48
+// abMaxDepth is how many path entries a descent keeps on the stack. Spines
+// are absorbed into their parents, so the tree stays logarithmic: the
+// paper's steady state has two internal levels. A deeper descent spills the
+// rest of its path to the heap.
+const abMaxDepth = 8
 
 // abPath records a descent: each internal node visited and the child slot
-// taken from it, indexed by depth. A path is filled once, root first.
+// taken from it, indexed by depth. Each descent refills it, root first.
 type abPath struct {
 	near [abMaxDepth]abPathEntry
 	far  []abPathEntry
@@ -232,6 +300,7 @@ func (p *abPath) at(depth int) abPathEntry {
 // (nil guard, nil legacy), and falls back to the Reclaimer interface only
 // under smr.LegacyDispatch.
 func (t *ABTree) descend(tid int, key int64, path *abPath) (leaf *abNode, depth int) {
+	path.far = path.far[:0]
 	g, legacy := t.disp.handles(tid)
 	cur := t.root.Load()
 	if g != nil {
@@ -366,8 +435,9 @@ func (t *ABTree) tryInsert(tid int, key int64) (inserted, done bool) {
 // splitLeaf replaces a full leaf, read at version v, with two halves that
 // together hold its keys plus key (which belongs at i). For a root leaf the
 // two halves hang off a new internal root; otherwise the parent is replaced
-// copy-on-write with the extra child (collapsing into a local two-child
-// split when the parent itself would overflow).
+// copy-on-write with the extra child. A parent that would overflow is
+// replaced by a two-child spine over its two halves, which absorb then
+// merges into the grandparent, so the tree grows only at the root.
 func (t *ABTree) splitLeaf(tid int, path *abPath, depth int, leaf *abNode, v uint64, i int, key int64) bool {
 	var up abSlot
 	if depth > 0 {
@@ -391,53 +461,80 @@ func (t *ABTree) splitLeaf(tid int, path *abPath, depth int, leaf *abNode, v uin
 	all[i] = key
 	copy(all[i+1:], leaf.lk[i:])
 	const mid = (abLeafCap + 1) / 2
-	sep := all[mid]
 	left := t.newLeaf(tid, all[:mid])
 	right := t.newLeaf(tid, all[mid:])
 
 	if depth == 0 {
-		s.store(t.newInternal(tid, []int64{sep}, []*abNode{left, right}))
+		s.store(t.newPair(tid, []int64{all[mid]}, left, right))
 		s.unlock()
 		t.retire(tid, leaf)
 		return true
 	}
 
-	e := path.at(depth - 1)
-	p, idx := e.n.in, e.idx
 	// Copy-on-write parent with the split child. Child slots are stable
 	// while p.mu is held.
-	pk := make([]int64, 0, len(p.keys)+1)
-	pk = append(pk, p.keys[:idx]...)
-	pk = append(pk, sep)
-	pk = append(pk, p.keys[idx:]...)
-	pc := make([]*abNode, 0, len(p.children)+1)
-	for j := range p.children {
-		if j == idx {
-			pc = append(pc, left, right)
-			continue
-		}
-		pc = append(pc, p.children[j].Load())
-	}
-
-	var replacement *abNode
-	if len(pc) <= abInternalCap {
-		replacement = t.newInternal(tid, pk, pc)
-	} else {
-		// The parent would overflow: split it locally into two internal
-		// nodes under a new two-child spine (relaxed rebalancing; the
-		// spine collapses later if it goes single-child).
-		m := len(pc) / 2
-		lo := t.newInternal(tid, pk[:m-1:m-1], pc[:m:m])
-		hi := t.newInternal(tid, pk[m:], pc[m:])
-		replacement = t.newInternal(tid, []int64{pk[m-1]}, []*abNode{lo, hi})
-	}
+	e := path.at(depth - 1)
+	p, idx := e.n.in, e.idx
+	r, spine := t.rebuild(tid, withKey(p.keys, idx, all[mid]), abSplice{p, idx, left, right})
 	p.retired.Store(true)
-	up.store(replacement)
+	up.store(r)
 	s.unlock()
 	up.unlock()
 	t.retire(tid, leaf)
 	t.retire(tid, e.n)
+	if spine {
+		t.absorb(tid, path, depth-1, r, key)
+	}
 	return true
+}
+
+// absorb merges s, a two-child internal node just published in place of the
+// node at path depth d, into its parent g: g is replaced copy-on-write with
+// s's separator and two children in s's slot. It locks top-down (g's slot
+// owner, then g.mu, validating that the slot still holds s, then s.mu). If
+// g overflows in turn, its replacement is a spine and the step repeats one
+// level up; a two-child root stays. When validation fails, absorb
+// re-descends by key, which s's range still covers while s is reachable,
+// and retries wherever s now hangs. If s is gone or has become the root,
+// whoever replaced it left no two-child node behind.
+func (t *ABTree) absorb(tid int, path *abPath, d int, s *abNode, key int64) {
+	for d > 0 {
+		e := path.at(d - 1)
+		if up, ok := t.lockSlot(path, d-1, e.n); ok {
+			g := e.n.in
+			g.mu.Lock()
+			if g.children[e.idx].Load() == s {
+				in := s.in
+				in.mu.Lock()
+				r, spine := t.rebuild(tid, withKey(g.keys, e.idx, in.keys[0]),
+					abSplice{g, e.idx, in.children[0].Load(), in.children[1].Load()})
+				g.retired.Store(true)
+				in.retired.Store(true)
+				up.store(r)
+				in.mu.Unlock()
+				g.mu.Unlock()
+				up.unlock()
+				t.retire(tid, e.n)
+				t.retire(tid, s)
+				if !spine {
+					return
+				}
+				s, d = r, d-1
+				continue
+			}
+			g.mu.Unlock()
+			up.unlock()
+		}
+		// The path went stale: find s again.
+		_, depth := t.descend(tid, key, path)
+		d = depth - 1
+		for d >= 0 && path.at(d).n != s {
+			d--
+		}
+		if d < 0 {
+			return
+		}
+	}
 }
 
 // Delete removes key, reporting whether it was present.
@@ -473,7 +570,7 @@ func (t *ABTree) tryDelete(tid int, key int64) (deleted, done bool) {
 	}
 
 	// The leaf empties: remove it from its parent.
-	if !t.removeEmptyLeaf(tid, &path, depth, leaf, v) {
+	if !t.removeEmptyLeaf(tid, &path, depth, leaf, v, key) {
 		return false, false
 	}
 	t.size.add(tid, -1)
@@ -482,8 +579,9 @@ func (t *ABTree) tryDelete(tid int, key int64) (deleted, done bool) {
 
 // removeEmptyLeaf replaces the parent copy-on-write without leaf, whose one
 // key (read at version v) is being deleted. A parent reduced to a single
-// child collapses: the surviving child takes the parent's slot directly.
-func (t *ABTree) removeEmptyLeaf(tid int, path *abPath, depth int, leaf *abNode, v uint64) bool {
+// child collapses: the surviving child takes the parent's slot directly. A
+// non-root parent reduced to two children is absorbed into its own parent.
+func (t *ABTree) removeEmptyLeaf(tid int, path *abPath, depth int, leaf *abNode, v uint64, key int64) bool {
 	e := path.at(depth - 1)
 	p, idx := e.n.in, e.idx
 	up, ok := t.lockSlot(path, depth-1, e.n)
@@ -496,32 +594,25 @@ func (t *ABTree) removeEmptyLeaf(tid int, path *abPath, depth int, leaf *abNode,
 		return false
 	}
 
-	var replacement *abNode
+	var r *abNode
 	if len(p.children) == 2 {
 		// Collapse: the sibling takes p's place.
-		replacement = p.children[1-idx].Load()
+		r = p.children[1-idx].Load()
 	} else {
+		ki := min(idx, len(p.keys)-1)
 		pk := make([]int64, 0, len(p.keys)-1)
-		ki := idx
-		if ki == len(p.keys) {
-			ki = len(p.keys) - 1
-		}
 		pk = append(pk, p.keys[:ki]...)
 		pk = append(pk, p.keys[ki+1:]...)
-		pc := make([]*abNode, 0, len(p.children)-1)
-		for j := range p.children {
-			if j == idx {
-				continue
-			}
-			pc = append(pc, p.children[j].Load())
-		}
-		replacement = t.newInternal(tid, pk, pc)
+		r = t.fill(tid, pk, abSplice{p: p, idx: idx}, 0)
 	}
 	p.retired.Store(true)
-	up.store(replacement)
+	up.store(r)
 	s.unlock()
 	up.unlock()
 	t.retire(tid, leaf)
 	t.retire(tid, e.n)
+	if r.in != nil && len(r.in.children) == 2 {
+		t.absorb(tid, path, depth-1, r, key)
+	}
 	return true
 }

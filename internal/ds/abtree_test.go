@@ -165,7 +165,8 @@ func BenchmarkABTreeSearch(b *testing.B) {
 }
 
 // checkABTree walks an abtree from its root and fails t on any broken
-// structural invariant; it returns the tree's depth in internal levels. It
+// structural invariant, including a non-root internal node left with two
+// children; it returns the depth of the deepest leaf. It
 // must run while no operation is in flight. Keys are checked against
 // half-open separator ranges [lo, hi), so the walker treats math.MaxInt64
 // as out of range.
@@ -204,6 +205,9 @@ func checkABTree(t *testing.T, set Set) (depth int) {
 		if len(in.children) != len(in.keys)+1 || len(in.children) < 2 || len(in.children) > abInternalCap {
 			t.Fatalf("depth %d: internal node has %d keys and %d children", d, len(in.keys), len(in.children))
 		}
+		if len(in.children) == 2 && n != root {
+			t.Fatalf("depth %d: non-root internal node has two children (unabsorbed spine)", d)
+		}
 		checkRange(t, "internal", in.keys, lo, hi)
 		for i := range in.children {
 			clo, chi := lo, hi
@@ -234,10 +238,10 @@ func checkRange(t *testing.T, kind string, keys []int64, lo, hi int64) {
 }
 
 // TestABTreeMonotonicKeys inserts, finds and deletes long ascending and
-// descending key runs. An overfull parent splits into a two-child spine in
-// its own slot, so a monotonic run deepens one edge of the tree by a level
-// every few hundred keys; both runs must outgrow the descent's
-// stack-resident path and spill to the heap.
+// descending key runs. Each run overflows the same edge of the tree over and
+// over; every overflow's spine must be absorbed upward, so the leaves stay
+// within three levels of the root instead of that edge deepening by a level
+// every few hundred keys.
 func TestABTreeMonotonicKeys(t *testing.T) {
 	const n = 20000
 	for _, order := range []string{"ascending", "descending"} {
@@ -254,23 +258,163 @@ func TestABTreeMonotonicKeys(t *testing.T) {
 					t.Fatalf("Insert(%d) failed", key(i))
 				}
 			}
-			depth := checkABTree(t, set)
-			if depth <= abMaxDepth {
-				t.Fatalf("depth %d after %d %s inserts; want > %d to cover the spilled path", depth, n, order, abMaxDepth)
+			if depth := checkABTree(t, set); depth > 3 {
+				t.Fatalf("leaf depth %d after %d %s inserts; want <= 3", depth, n, order)
 			}
 			for i := 0; i < n; i++ {
 				if !set.Contains(0, key(i)) {
 					t.Fatalf("key %d missing", key(i))
 				}
 			}
+			// Deleting in order empties the leaves under one internal node
+			// after another; each node left with two children must be
+			// absorbed into its parent on the way.
 			for i := 0; i < n; i++ {
 				if !set.Delete(0, key(i)) {
 					t.Fatalf("Delete(%d) failed", key(i))
+				}
+				if i%97 == 0 {
+					checkABTree(t, set)
 				}
 			}
 			checkABTree(t, set)
 			if set.Size() != 0 {
 				t.Fatalf("Size = %d after deleting all", set.Size())
+			}
+		})
+	}
+}
+
+// TestABTreePaperSteadyStateDepth builds the paper's steady state (half of
+// a 32768-key range prefilled with uniform keys, then uniform 50/50 insert
+// and delete) and checks that the tree keeps its leaves within three levels
+// of the root.
+func TestABTreePaperSteadyStateDepth(t *testing.T) {
+	const keyRange = 1 << 15
+	ops := 400000
+	if testing.Short() {
+		ops = 50000
+	}
+	set, _, _ := newTestSet(t, "abtree", "none", 1)
+	rng := rand.New(rand.NewSource(5))
+	for set.Size() < keyRange/2 {
+		set.Insert(0, rng.Int63n(keyRange))
+	}
+	for i := 0; i < ops; i++ {
+		if key := rng.Int63n(keyRange); i%2 == 0 {
+			set.Insert(0, key)
+		} else {
+			set.Delete(0, key)
+		}
+	}
+	if depth := checkABTree(t, set); depth > 3 {
+		t.Fatalf("leaf depth %d at the paper's steady state; want <= 3", depth)
+	}
+}
+
+// TestABPathSpillsPastMaxDepth covers the heap spill of a descent path. No
+// tree the workloads build is that deep, so it pushes entries directly and
+// then descends a hand-built chain deeper than abMaxDepth twice through one
+// path, which must be refilled, not appended to.
+func TestABPathSpillsPastMaxDepth(t *testing.T) {
+	const depth = abMaxDepth + 5
+	var p abPath
+	nodes := make([]*abNode, depth)
+	for d := range nodes {
+		nodes[d] = &abNode{}
+		p.push(d, abPathEntry{nodes[d], d})
+	}
+	for d, n := range nodes {
+		if e := p.at(d); e.n != n || e.idx != d {
+			t.Fatalf("at(%d) = {%p, %d}, want {%p, %d}", d, e.n, e.idx, n, d)
+		}
+	}
+
+	// A right-leaning chain: level d splits at key d, so key depth+1 takes
+	// slot 1 at every level.
+	set, _, _ := newTestSet(t, "abtree", "none", 1)
+	tr := set.(*ABTree)
+	cur := tr.newLeaf(0, []int64{depth + 1})
+	for d := depth - 1; d >= 0; d-- {
+		nodes[d] = tr.newPair(0, []int64{int64(d)}, tr.newLeaf(0, []int64{int64(d) - 1}), cur)
+		cur = nodes[d]
+	}
+	tr.root.Store(cur)
+	var path abPath
+	for round := 0; round < 2; round++ {
+		leaf, got := tr.descend(0, depth+1, &path)
+		if got != depth || leaf.in != nil || len(path.far) != depth-abMaxDepth {
+			t.Fatalf("round %d: descent depth %d with %d spilled entries, want %d and %d",
+				round, got, len(path.far), depth, depth-abMaxDepth)
+		}
+		for d, n := range nodes {
+			if e := path.at(d); e.n != n || e.idx != 1 {
+				t.Fatalf("round %d: path.at(%d) = {%p, %d}, want {%p, 1}", round, d, e.n, e.idx, n)
+			}
+		}
+	}
+	if !set.Contains(0, depth+1) || set.Contains(0, depth) {
+		t.Fatal("Contains wrong on the deep chain")
+	}
+}
+
+// TestABTreeConcurrentAbsorb races spine absorbs against each other and
+// against empty-leaf removals. Goroutines insert ascending runs that
+// interleave over one key range in chunks of two leaves' worth of keys, so
+// they share leaf parents and overflow the same internal nodes, while each
+// run splits its own leaves like a monotonic run, half full. Each goroutine
+// also deletes random keys of its own. The range overflows the root twice.
+// Afterwards the tree must be well formed with no unabsorbed spine and hold
+// exactly the keys inserted and not deleted.
+func TestABTreeConcurrentAbsorb(t *testing.T) {
+	const (
+		workers = 3
+		perW    = 16000
+		chunk   = 2 * abLeafCap
+	)
+	key := func(w, i int) int64 { return int64(((i/chunk)*workers+w)*chunk + i%chunk) }
+	for _, recName := range []string{"debra", "hp"} {
+		t.Run(recName, func(t *testing.T) {
+			set, _, _ := newTestSet(t, "abtree", recName, workers)
+			present := make([][]bool, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				present[w] = make([]bool, perW)
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					mine := present[w]
+					for i := 0; i < perW; i++ {
+						if !set.Insert(w, key(w, i)) {
+							t.Errorf("Insert(%d) of a fresh key failed", key(w, i))
+							return
+						}
+						mine[i] = true
+						if i%4 == 3 {
+							j := rng.Intn(i + 1)
+							if set.Delete(w, key(w, j)) != mine[j] {
+								t.Errorf("Delete(%d) = %v, want %v", key(w, j), !mine[j], mine[j])
+								return
+							}
+							mine[j] = false
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if depth := checkABTree(t, set); depth < 3 {
+				t.Fatalf("leaf depth %d; the root must overflow twice to exercise absorbs at the root", depth)
+			}
+			for w := range present {
+				for i, want := range present[w] {
+					if set.Contains(0, key(w, i)) != want {
+						t.Fatalf("Contains(%d) = %v, want %v", key(w, i), !want, want)
+					}
+				}
 			}
 		})
 	}
