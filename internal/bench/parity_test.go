@@ -1,21 +1,15 @@
 package bench
 
-import (
-	"testing"
-
-	"repro/internal/ds"
-	"repro/internal/smr"
-)
+import "testing"
 
 // modeledStats is the host-independent slice of a TrialResult: everything a
 // trial measures except wall-clock-derived numbers (ops/s, *Nanos, Pct*,
 // and ClockReads — burnQueue takes one stamp per spin round, so the stamp
 // count tracks host speed, same family as the nanos). With Threads == 1 and
-// FixedOps set, a trial is otherwise fully deterministic, so two runs that
-// differ only in dispatch mechanism must agree on every field — operation
-// counts, allocator traffic, flush/remote/fresh-page behavior (which pins
-// the (arena, hold) reservation pattern), reclaimer epochs and limbo, and
-// peak mapped bytes.
+// FixedOps set, a trial is otherwise fully deterministic, so two runs of one
+// config must agree on every field — operation counts, allocator traffic,
+// flush/remote/fresh-page behavior (which pins the (arena, hold) reservation
+// pattern), reclaimer epochs and limbo, and peak mapped bytes.
 type modeledStats struct {
 	Ops                                 int64
 	Allocs, Frees, RemoteFrees, Flushes int64
@@ -48,35 +42,6 @@ func parityConfig(reclaimer, dsName string) WorkloadConfig {
 	cfg.FixedOps = 4000
 	cfg.Seed = 42
 	return cfg
-}
-
-// TestDispatchParityFixedOps is the guard-semantics pin: for every
-// registered reclaimer on every tree, a FixedOps trial through the
-// zero-dispatch Guard path and one through the legacy interface path
-// (smr.LegacyDispatch) must produce bit-identical modeled statistics. This
-// is what licenses the hot-loop surgery — the fast path changes how
-// protection is published, not what is published.
-func TestDispatchParityFixedOps(t *testing.T) {
-	for _, dsName := range ds.Names() {
-		for _, rec := range smr.Names() {
-			t.Run(dsName+"/"+rec, func(t *testing.T) {
-				cfg := parityConfig(rec, dsName)
-				guard, err := RunTrial(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.LegacyDispatch = true
-				legacy, err := RunTrial(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g, l := modeledOf(guard), modeledOf(legacy)
-				if g != l {
-					t.Fatalf("modeled stats diverged:\n guard  %+v\n legacy %+v", g, l)
-				}
-			})
-		}
-	}
 }
 
 // TestFixedOpsDeterministic pins the fixed-op trial mode itself: same

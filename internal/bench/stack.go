@@ -109,9 +109,6 @@ func NewStack(cfg WorkloadConfig) (*Stack, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.LegacyDispatch {
-		reclaimer = smr.LegacyDispatch(reclaimer)
-	}
 	s.Reclaimer = reclaimer
 
 	set, err := ds.New(cfg.DataStructure, alloc, reclaimer)

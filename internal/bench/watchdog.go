@@ -165,7 +165,8 @@ func captureDiagnostics(st *Stack) string {
 		fmt.Fprintf(&sb, "faults: stalls=%d wedges=%d crashes=%d slowdowns=%d running_workers=%d\n",
 			fs.Stalls, fs.Wedges, fs.Crashes, fs.Slowdowns, fe.running.Load())
 	}
-	if d, ok := smr.DiagnoseOf(st.Reclaimer); ok {
+	if dr, ok := st.Reclaimer.(smr.Diagnosable); ok {
+		d := dr.Diagnose()
 		fmt.Fprintf(&sb, "reclaimer %s: epochs=%d limbo=%d peak_limbo=%d orphans=%d stall_waits=%d stall=%v\n",
 			d.Scheme, d.Epochs, d.Limbo, d.PeakLimbo, d.OrphanObjects, d.StallWaits,
 			time.Duration(d.StallNanos))

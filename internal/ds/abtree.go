@@ -65,7 +65,7 @@ type abInner struct {
 type ABTree struct {
 	alloc  simalloc.Allocator
 	rec    smr.Reclaimer
-	disp   protectDispatch
+	guards []*smr.Guard
 	root   atomic.Pointer[abNode]
 	rootMu sync.Mutex // guards the root slot
 	size   *sizeCtr
@@ -74,7 +74,7 @@ type ABTree struct {
 // NewABTree builds an empty tree over the allocator and reclaimer.
 func NewABTree(alloc simalloc.Allocator, rec smr.Reclaimer) *ABTree {
 	t := &ABTree{alloc: alloc, rec: rec, size: newSizeCtr(alloc.Threads())}
-	t.disp = newProtectDispatch(rec, alloc.Threads())
+	t.guards = guardsFor(rec, alloc.Threads())
 	t.root.Store(t.newLeaf(0, nil))
 	return t
 }
@@ -294,19 +294,15 @@ func (p *abPath) at(depth int) abPathEntry {
 }
 
 // descend walks from the root to the leaf covering key, recording the path
-// and publishing protection for each visited node. Protection routes through
-// the guard when the reclaimer exposes one (a concrete call the compiler can
-// see through), skips publication entirely for epoch-based reclaimers
-// (nil guard, nil legacy), and falls back to the Reclaimer interface only
-// under smr.LegacyDispatch.
+// and publishing protection for each visited node through tid's guard (a
+// concrete call the compiler can see through); epoch-based reclaimers have
+// a nil guard and skip publication entirely.
 func (t *ABTree) descend(tid int, key int64, path *abPath) (leaf *abNode, depth int) {
 	path.far = path.far[:0]
-	g, legacy := t.disp.handles(tid)
+	g := t.guards[tid]
 	cur := t.root.Load()
 	if g != nil {
 		g.Protect(0, cur.obj.Load())
-	} else if legacy != nil {
-		legacy.Protect(tid, 0, cur.obj.Load())
 	}
 	for cur.in != nil {
 		idx := childIndex(cur.in.keys, key)
@@ -315,8 +311,6 @@ func (t *ABTree) descend(tid int, key int64, path *abPath) (leaf *abNode, depth 
 		cur = cur.in.children[idx].Load()
 		if g != nil {
 			g.Protect(depth%3, cur.obj.Load())
-		} else if legacy != nil {
-			legacy.Protect(tid, depth%3, cur.obj.Load())
 		}
 	}
 	return cur, depth

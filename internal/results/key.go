@@ -14,6 +14,7 @@
 package results
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -51,6 +52,11 @@ import (
 // legacy configs' encodings unchanged apart from the version), and
 // TrialResult gained the Arrival label, the latency quantiles
 // (LatP50Ns/LatP99Ns/LatP999Ns/LatMaxNs), and the Latency histogram.
+//
+// Still v5 after WorkloadConfig dropped LegacyDispatch, YieldEvery and the
+// PhaseOps alias: each had only one surviving value (false, 0, 0), so the
+// key encoding keeps hashing them at their old positions (see
+// schema5Fields) and no stored key moves.
 const SchemaVersion = 5
 
 // Normalize fills the configuration defaults that the harness would apply
@@ -78,18 +84,12 @@ func Normalize(cfg bench.WorkloadConfig) bench.WorkloadConfig {
 	if cfg.EraFreq <= 0 {
 		cfg.EraFreq = 64
 	}
-	// Fold the deprecated PhaseOps alias into BurstOps, its canonical
-	// spelling, so configs written either way share a key. Phases itself
-	// hashes as-is: materializing a scenario's default schedule here would
-	// couple every key to scenario internals (the conservative policy
+	// Phases hashes as-is: materializing a scenario's default schedule here
+	// would couple every key to scenario internals (the conservative policy
 	// above), so an explicit schedule and its scenario-default twin
-	// under-share, never mis-share.
-	if cfg.BurstOps <= 0 && cfg.PhaseOps > 0 {
-		cfg.BurstOps = cfg.PhaseOps
-	}
-	cfg.PhaseOps = 0
-	// An empty schedule and a nil one are the same (unphased) trial, but
-	// marshal as [] vs null — fold to nil so they share a key.
+	// under-share, never mis-share. An empty schedule and a nil one are the
+	// same (unphased) trial, but marshal as [] vs null — fold to nil so they
+	// share a key.
 	if len(cfg.Phases) == 0 {
 		cfg.Phases = nil
 	}
@@ -114,11 +114,8 @@ func Normalize(cfg bench.WorkloadConfig) bench.WorkloadConfig {
 			}
 		}
 	}
-	// YieldEvery needs no normalization: 0 is the auto yield policy, a real
-	// configuration distinct from every explicit stride. FixedOps and
-	// LegacyDispatch likewise hash as-is — a fixed-op trial and a wall-clock
-	// trial, or a guard-path and a legacy-dispatch trial, must never share a
-	// key.
+	// FixedOps hashes as-is: a fixed-op trial and a wall-clock trial must
+	// never share a key.
 	if cfg.Threads > 0 {
 		acfg := simalloc.DefaultConfig(cfg.Threads)
 		if cfg.TCacheCap <= 0 {
@@ -139,6 +136,21 @@ func Normalize(cfg bench.WorkloadConfig) bench.WorkloadConfig {
 	return cfg
 }
 
+// schema5Fields are the three retired WorkloadConfig fields —
+// LegacyDispatch, YieldEvery and the PhaseOps alias — each with the only
+// value a surviving config can mean (guard dispatch, the batched yield
+// policy, no alias), and the field each one preceded. hashConfig splices
+// them back in at those positions to preserve the schema-5 encoding, so
+// every stored TrialKey and GroupKey still matches without a version bump.
+// The anchors are unambiguous: they appear in this order, no nested config
+// type has a field named Record, ZipfTheta or Phases, and a string value
+// cannot contain an unescaped quote.
+var schema5Fields = [...]struct{ anchor, field []byte }{
+	{[]byte(`"Record":`), []byte(`"LegacyDispatch":false,`)},
+	{[]byte(`"ZipfTheta":`), []byte(`"YieldEvery":0,`)},
+	{[]byte(`"Phases":`), []byte(`"PhaseOps":0,`)},
+}
+
 // hashConfig produces the hex digest of the canonical JSON encoding of a
 // normalized configuration under the current schema version. Struct fields
 // marshal in declaration order, so the encoding — and therefore the key —
@@ -152,7 +164,19 @@ func hashConfig(cfg bench.WorkloadConfig) string {
 		// WorkloadConfig is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("results: hashing config: %v", err))
 	}
-	sum := sha256.Sum256(b)
+	// Splice into a stack buffer: the encoding is about 600 bytes, and a
+	// longer one only spills to the heap.
+	var buf [1024]byte
+	out := buf[:0]
+	for _, f := range schema5Fields {
+		i := bytes.Index(b, f.anchor)
+		if i < 0 {
+			panic(fmt.Sprintf("results: hashing config: no %s field", f.anchor))
+		}
+		out = append(append(out, b[:i]...), f.field...)
+		b = b[i:]
+	}
+	sum := sha256.Sum256(append(out, b...))
 	return hex.EncodeToString(sum[:16])
 }
 

@@ -55,35 +55,19 @@ func TestKeyNormalizationEquivalences(t *testing.T) {
 	if KeyOf(zeroed) != KeyOf(filled) {
 		t.Fatal("zero knobs and explicit defaults hash differently")
 	}
-	// YieldEvery is NOT normalized: 0 is the auto yield policy, a distinct
-	// measurement from any explicit stride. Same for the FixedOps and
-	// LegacyDispatch trial modes.
-	for _, mutate := range []func(*bench.WorkloadConfig){
-		func(c *bench.WorkloadConfig) { c.YieldEvery = 1 },
-		func(c *bench.WorkloadConfig) { c.FixedOps = 1000 },
-		func(c *bench.WorkloadConfig) { c.LegacyDispatch = true },
-	} {
-		changed := base
-		mutate(&changed)
-		if KeyOf(changed) == KeyOf(base) {
-			t.Fatalf("trial-mode knob did not change the key: %+v", changed)
-		}
+	// FixedOps is NOT normalized: a fixed-op trial is a different
+	// measurement from a wall-clock one.
+	changed := base
+	changed.FixedOps = 1000
+	if KeyOf(changed) == KeyOf(base) {
+		t.Fatalf("trial-mode knob did not change the key: %+v", changed)
 	}
 }
 
 func TestBurstOpsAliasSharesKey(t *testing.T) {
-	// The deprecated PhaseOps spelling folds into BurstOps, so configs
-	// written either way address the same trial; BurstOps wins when both
-	// are set.
-	viaAlias := testConfig(4, 7)
-	viaAlias.PhaseOps = 512
+	// The burst window is part of what the trial measured.
 	canonical := testConfig(4, 7)
 	canonical.BurstOps = 512
-	both := canonical
-	both.PhaseOps = 999
-	if KeyOf(viaAlias) != KeyOf(canonical) || KeyOf(both) != KeyOf(canonical) {
-		t.Fatal("PhaseOps alias and BurstOps hash differently")
-	}
 	other := testConfig(4, 7)
 	other.BurstOps = 1024
 	if KeyOf(other) == KeyOf(canonical) {

@@ -45,24 +45,9 @@ type Diag struct {
 
 // Diagnosable is implemented by every reclaimer in this package. It is a
 // separate interface (not part of Reclaimer) so external Reclaimer
-// implementations remain possible; use DiagnoseOf to capture through
-// wrappers.
+// implementations need not provide it.
 type Diagnosable interface {
 	Diagnose() Diag
-}
-
-// DiagnoseOf captures a diagnostic snapshot from r, unwrapping the
-// LegacyDispatch shim if present. ok is false when r (after unwrapping)
-// does not support diagnostics.
-func DiagnoseOf(r Reclaimer) (Diag, bool) {
-	if l, isLegacy := r.(legacyReclaimer); isLegacy {
-		r = l.Reclaimer
-	}
-	d, ok := r.(Diagnosable)
-	if !ok {
-		return Diag{}, false
-	}
-	return d.Diagnose(), true
 }
 
 // diag builds the env-level snapshot shared by every scheme.

@@ -13,17 +13,16 @@ import "repro/internal/simalloc"
 // so publishing a protection is a predictable branch and a padded atomic
 // store — no interface call, no tid-indexed address arithmetic.
 //
-// Trees resolve guards once at construction (see internal/ds): reclaimers
-// whose Protect is a real publication (HP, HE/WFE, IBR, NBR/NBR+) hand out a
-// Guard per tid; epoch-based reclaimers (DEBRA, QSBR, RCU, Token-EBR, none),
-// whose Protect is a no-op, return nil so the trees skip per-node
-// publication entirely.
+// Trees resolve guards once at construction (see internal/ds) through
+// Reclaimer.Guard: reclaimers whose Protect is a real publication (HP,
+// HE/WFE, IBR, NBR/NBR+) hand out a Guard per tid; epoch-based reclaimers
+// (DEBRA, QSBR, RCU, Token-EBR, none), whose Protect is a no-op, return nil
+// so the trees skip per-node publication entirely.
 //
 // Semantics contract: Guard.Protect(slot, o) must be observably identical to
-// Reclaimer.Protect(tid, slot, o) for the tid the guard was built for. The
-// dispatch-parity tests (internal/bench TestDispatchParityFixedOps and the
-// per-reclaimer tests in guard_test.go) pin this equality for every
-// registered reclaimer.
+// Reclaimer.Protect(tid, slot, o) for the tid the guard was built for.
+// TestGuardProtectMatchesInterface pins this equality for every publishing
+// reclaimer.
 
 // GuardMode tags how a Guard publishes per-node protection.
 type GuardMode uint8
@@ -48,8 +47,8 @@ const (
 
 // Guard is one (reclaimer, tid) pair's zero-dispatch protection handle. The
 // zero value is unusable; reclaimers build guards at construction time and
-// hand them out via their Guard(tid) method. A Guard must only be used by
-// the goroutine driving its tid, exactly like the tid itself.
+// hand them out via Reclaimer.Guard. A Guard must only be used by the
+// goroutine driving its tid, exactly like the tid itself.
 type Guard struct {
 	mode   GuardMode
 	nSlots int
@@ -98,15 +97,3 @@ func (g *Guard) Protect(slot int, o *simalloc.Object) {
 		}
 	}
 }
-
-// legacyReclaimer hides the Guard method: embedding the Reclaimer interface
-// promotes only the interface's methods, so a wrapped reclaimer fails the
-// guard-source type assertion and trees fall back to per-node interface
-// dispatch. This is the "before" side of the dispatch-parity tests and the
-// WorkloadConfig.LegacyDispatch A/B knob.
-type legacyReclaimer struct{ Reclaimer }
-
-// LegacyDispatch wraps r so data structures route every Protect through the
-// Reclaimer interface instead of the zero-dispatch Guard path. Semantics are
-// unchanged; only the dispatch mechanism differs.
-func LegacyDispatch(r Reclaimer) Reclaimer { return legacyReclaimer{r} }

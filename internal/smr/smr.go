@@ -36,9 +36,8 @@ import (
 //
 // Per-node protection has two equivalent routes: Protect(tid, slot, node)
 // through this interface, or the zero-dispatch Guard fast path (see
-// guard.go) that every reclaimer here also exposes via a concrete
-// Guard(tid) method. The trees prefer the guard; LegacyDispatch forces the
-// interface route.
+// guard.go) that Guard(tid) hands out. The trees resolve their guards once
+// at construction and publish only through them.
 type Reclaimer interface {
 	// Name returns the registry name (e.g. "debra", "token_af").
 	Name() string
@@ -53,6 +52,9 @@ type Reclaimer interface {
 	// through a small per-thread window (hazard-pointer style); epoch-based
 	// reclaimers ignore it.
 	Protect(tid int, slot int, o *simalloc.Object)
+	// Guard returns tid's zero-dispatch protection handle, or nil when the
+	// scheme needs no per-node publication (epoch-based reclaimers).
+	Guard(tid int) *Guard
 	// Retire hands an unlinked object to the reclaimer; it will be freed
 	// to the allocator once no thread can hold a reference.
 	Retire(tid int, o *simalloc.Object)
