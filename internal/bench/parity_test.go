@@ -1,6 +1,13 @@
 package bench
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/ds"
+	"repro/internal/simalloc"
+	"repro/internal/smr"
+)
 
 // modeledStats is the host-independent slice of a TrialResult: everything a
 // trial measures except wall-clock-derived numbers (ops/s, *Nanos, Pct*,
@@ -42,6 +49,66 @@ func parityConfig(reclaimer, dsName string) WorkloadConfig {
 	cfg.FixedOps = 4000
 	cfg.Seed = 42
 	return cfg
+}
+
+// ifaceReclaimer reaches the wrapped reclaimer only through the
+// smr.Reclaimer interface, one more dynamic dispatch per call — the shape
+// perfbench's tracing decorator hands the trees. It counts interface
+// Protect calls: the trees publish per-node protection through their Guard
+// handles alone, so a trial must make none.
+type ifaceReclaimer struct {
+	smr.Reclaimer
+	protects atomic.Int64
+}
+
+func (r *ifaceReclaimer) Protect(tid, slot int, o *simalloc.Object) {
+	r.protects.Add(1)
+	r.Reclaimer.Protect(tid, slot, o)
+}
+
+// TestDispatchParityFixedOps is the dispatch-mechanism pin: for every
+// registered reclaimer on every tree, a FixedOps trial over the concrete
+// reclaimer and one over the same reclaimer behind an interface-forwarding
+// decorator must produce bit-identical modeled statistics, and the trees
+// must never call Reclaimer.Protect — the Guard resolved at construction
+// is the only protection path. How the reclaimer is reached may change
+// what a call costs, never what is published.
+func TestDispatchParityFixedOps(t *testing.T) {
+	var wrapped []*ifaceReclaimer
+	decorate := func(r smr.Reclaimer) smr.Reclaimer {
+		w := &ifaceReclaimer{Reclaimer: r}
+		wrapped = append(wrapped, w)
+		return w
+	}
+	defer func() { wrapReclaimer = nil }()
+	for _, dsName := range ds.Names() {
+		for _, rec := range smr.Names() {
+			t.Run(dsName+"/"+rec, func(t *testing.T) {
+				cfg := parityConfig(rec, dsName)
+				wrapReclaimer = nil
+				direct, err := RunTrial(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wrapped, wrapReclaimer = nil, decorate
+				viaIface, err := RunTrial(cfg)
+				wrapReclaimer = nil
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(wrapped) != 1 {
+					t.Fatalf("trial built %d decorated reclaimers, want 1", len(wrapped))
+				}
+				if n := wrapped[0].protects.Load(); n != 0 {
+					t.Fatalf("trees made %d interface Protect calls, want 0 (Guard path only)", n)
+				}
+				d, i := modeledOf(direct), modeledOf(viaIface)
+				if d != i {
+					t.Fatalf("modeled stats diverged:\n direct    %+v\n decorated %+v", d, i)
+				}
+			})
+		}
+	}
 }
 
 // TestFixedOpsDeterministic pins the fixed-op trial mode itself: same

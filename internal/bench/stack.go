@@ -47,6 +47,10 @@ type Stack struct {
 	phase atomic.Int64
 }
 
+// wrapReclaimer, when set (by tests only), decorates every stack's
+// reclaimer before the set is built over it.
+var wrapReclaimer func(smr.Reclaimer) smr.Reclaimer
+
 // NewStack constructs the allocator, reclaimer and set for cfg.
 func NewStack(cfg WorkloadConfig) (*Stack, error) {
 	if cfg.Threads <= 0 {
@@ -108,6 +112,9 @@ func NewStack(cfg WorkloadConfig) (*Stack, error) {
 	reclaimer, err := smr.New(cfg.Reclaimer, rcfg)
 	if err != nil {
 		return nil, err
+	}
+	if wrapReclaimer != nil {
+		reclaimer = wrapReclaimer(reclaimer)
 	}
 	s.Reclaimer = reclaimer
 

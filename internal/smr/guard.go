@@ -22,7 +22,8 @@ import "repro/internal/simalloc"
 // Semantics contract: Guard.Protect(slot, o) must be observably identical to
 // Reclaimer.Protect(tid, slot, o) for the tid the guard was built for.
 // TestGuardProtectMatchesInterface pins this equality for every publishing
-// reclaimer.
+// reclaimer; internal/bench TestDispatchParityFixedOps pins that the trees
+// publish through guards alone.
 
 // GuardMode tags how a Guard publishes per-node protection.
 type GuardMode uint8
